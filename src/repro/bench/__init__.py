@@ -18,12 +18,12 @@ for.  Wall-clock numbers (cold/warm sweep seconds) are recorded with
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from .._version import __version__
 from ..telemetry import metrics as tmetrics
 from ..telemetry import spans as tspans
@@ -172,13 +172,9 @@ def make_payload(
 
 
 def write_bench(payload: dict, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
-    return path
+    return durable.atomic_write(
+        path, json.dumps(payload, indent=1, sort_keys=True)
+    )
 
 
 def load_bench(path) -> dict:
@@ -223,11 +219,8 @@ def history_record(payload: dict) -> dict:
 def append_history(payload: dict, path=None) -> Path:
     """Append one bench run to the trajectory file (JSONL, one line)."""
     path = Path(path) if path is not None else default_history_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(history_record(payload), sort_keys=True,
-                      separators=(",", ":"))
-    with open(path, "a") as f:
-        f.write(line + "\n")
+    with durable.Log(path) as history:
+        history.append(history_record(payload))
     return path
 
 
@@ -239,22 +232,11 @@ def load_history(path=None) -> list:
     tooling reading it.
     """
     path = Path(path) if path is not None else default_history_path()
-    records = []
     try:
-        raw = path.read_text()
+        records, _ = durable.replay(path)
     except OSError:
-        return records
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(rec, dict) and rec.get("schema") == HISTORY_SCHEMA:
-            records.append(rec)
-    return records
+        return []
+    return [r for r in records if r.get("schema") == HISTORY_SCHEMA]
 
 
 def compare(current: dict, baseline: dict) -> list:

@@ -37,6 +37,7 @@ import sys
 import time
 from pathlib import Path
 
+from .. import durable
 from . import journal as journal_mod
 from .cache import default_cache_dir
 
@@ -65,74 +66,27 @@ def _compact_journal(path: Path, dry_run: bool) -> int:
     """Rewrite one terminal journal without start/hb records.
 
     Returns bytes reclaimed (0 when the journal is not terminal, is
-    already compact, or cannot be read).  The rewrite is atomic
-    (tmp + ``os.replace``), so a concurrent reader never sees a torn
-    journal.
+    already compact, or cannot be read).  The rewrite is an atomic
+    replace, so a concurrent reader never sees a torn journal.
     """
     try:
-        raw = path.read_text()
+        records, _ = durable.replay(path)
+        size = path.stat().st_size
     except OSError:
         return 0
-    kept: list = []
-    dropped = 0
-    state = "running"
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # torn tail: dropped by compaction
-        t = rec.get("t")
-        if t == "state":
-            state = rec.get("state", state)
-        if t in _KEEP_RECORDS:
-            kept.append(line)
-        else:
-            dropped += 1
-    if state not in _TERMINAL or dropped == 0:
+    kept = [r for r in records if r.get("t") in _KEEP_RECORDS]
+    states = [r.get("state") for r in records if r.get("t") == "state"]
+    if not states or states[-1] not in _TERMINAL or len(kept) == len(records):
         return 0
-    new_body = "\n".join(kept) + "\n"
-    reclaimed = max(0, len(raw.encode()) - len(new_body.encode()))
+    new_body = "".join(durable.encode(r) for r in kept)
+    reclaimed = max(0, size - len(new_body.encode()))
     if dry_run:
         return reclaimed
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
-        tmp.write_text(new_body)
-        os.replace(tmp, path)
+        durable.atomic_write(path, new_body)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         return 0
     return reclaimed
-
-
-def _journal_state(path: Path):
-    """The terminal state a journal replays to, or None when unreadable.
-
-    Returns ``"running"`` for a journal with no terminal ``state``
-    record — such a run may still be live (or resumable), and nothing
-    derived from it may be pruned.
-    """
-    try:
-        raw = path.read_text()
-    except OSError:
-        return None
-    state = "running"
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue
-        if rec.get("t") == "state":
-            state = rec.get("state", state)
-    return state
 
 
 def _unlink(path: Path, dry_run: bool) -> int:
@@ -182,20 +136,15 @@ def gc_run(
                 report["journals_compacted"] += 1
                 report["journal_bytes"] += reclaimed
 
-    # 2. sweep tmp corpses everywhere atomic writers leave them.  Tmp
-    # names carry the writer's pid; this process's own are skipped.
-    own = f".tmp.{os.getpid()}"
-    for pattern in (
-        "[0-9a-f][0-9a-f]/*.tmp.*", "metrics/*.tmp.*", "journal/*.tmp.*",
+    # 2. sweep tmp corpses everywhere atomic writers leave them
+    for tmp in durable.tmp_corpses(
+        root, "[0-9a-f][0-9a-f]/*.tmp.*", "metrics/*.tmp.*", "journal/*.tmp.*",
         "serve/*.tmp.*", "serve/err/*.tmp.*",
     ):
-        for tmp in sorted(root.glob(pattern)):
-            if tmp.name.endswith(own):
-                continue
-            freed = _unlink(tmp, dry_run)
-            if freed or dry_run:
-                report["tmp_removed"] += 1
-                report["tmp_bytes"] += freed
+        freed = _unlink(tmp, dry_run)
+        if freed or dry_run:
+            report["tmp_removed"] += 1
+            report["tmp_bytes"] += freed
 
     # 3. prune metrics snapshots of runs that are over.  A snapshot is
     # only useful while repro.obs might watch the run live; "over"
@@ -209,15 +158,13 @@ def gc_run(
         cutoff = now - max_age_days * 86400.0
         for snap in sorted(mdir.glob("*.json")):
             jpath = journal_mod.journal_dir(root) / f"{snap.stem}.jsonl"
-            state = _journal_state(jpath)
-            if state is None:
+            try:
+                prune = journal_mod.load(jpath).state in _TERMINAL
+            except OSError:
                 try:
-                    aged = snap.stat().st_mtime <= cutoff
+                    prune = snap.stat().st_mtime <= cutoff
                 except OSError:
                     continue
-                prune = aged
-            else:
-                prune = state in _TERMINAL
             if not prune:
                 continue
             freed = _unlink(snap, dry_run)

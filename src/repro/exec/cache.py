@@ -1,7 +1,7 @@
 """Content-addressed on-disk result cache for sweep work units.
 
 Layout: ``<root>/<digest[:2]>/<digest>.json``, one JSON payload per
-unit.  Writes are atomic (tmp file + ``os.replace``) so parallel
+unit.  Writes are atomic (:func:`repro.durable.atomic_write`) so parallel
 workers and concurrent sweeps can share one cache directory safely.
 
 Serialization is also the normalization layer: the engine round-trips
@@ -23,6 +23,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from ..arch.caches import CacheStats
 from ..benchsuite.base import BenchResult
 from ..errors import CacheCorruptionError
@@ -245,34 +246,15 @@ class ResultCache:
         return dst
 
     def put(self, digest: str, payload: dict) -> None:
-        """Atomically (and durably) install one entry.
+        """Atomically and durably install one entry.
 
-        The payload is written to a pid-suffixed tmp file, fsynced, and
-        ``os.replace``d into place: a reader never sees a torn entry,
-        and a process killed mid-write leaves only a tmp file (removed
-        here on error and swept by :meth:`purge_tmp`).  The fsync
-        before the rename is what lets the run journal's ``done``
-        record trust the entry across a crash.
+        A reader never sees a torn entry, and a process killed mid-write
+        leaves only a tmp file for :meth:`purge_tmp`.  Durability before
+        the rename is what lets the run journal's ``done`` record trust
+        the entry across a crash.
         """
-        path = self._path(digest)
         with tspans.span("cache.put", "cache", digest=digest[:8]):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            try:
-                with open(tmp, "w") as f:
-                    json.dump(payload, f)
-                    f.flush()
-                    try:
-                        os.fsync(f.fileno())
-                    except OSError:
-                        pass  # exotic fs; the rename is still atomic
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            durable.atomic_write(self._path(digest), json.dumps(payload))
             metrics.counter("cache.puts").inc()
 
     def purge_tmp(self) -> int:
@@ -283,12 +265,7 @@ class ResultCache:
         rename fast enough that a stale tmp is overwhelmingly a corpse.
         """
         removed = 0
-        if not self.root.exists():
-            return 0
-        own = f".tmp.{os.getpid()}"
-        for tmp in self.root.glob("[0-9a-f][0-9a-f]/*.tmp.*"):
-            if tmp.name.endswith(own):
-                continue
+        for tmp in durable.tmp_corpses(self.root, "[0-9a-f][0-9a-f]/*.tmp.*"):
             try:
                 tmp.unlink()
                 removed += 1

@@ -60,6 +60,7 @@ import time
 import traceback
 from typing import Iterable, Optional, Sequence
 
+from .. import durable
 from .. import faults as faults_mod
 from ..errors import (
     FailureKind,
@@ -72,7 +73,6 @@ from ..errors import (
 from ..telemetry import log, metrics
 from ..telemetry import spans as tspans
 from ..telemetry.progress import ProgressLine
-from . import journal as journal_mod
 from .cache import ResultCache, result_from_json, result_to_json
 from .unit import UnitResult, WorkUnit, execute, unit_digest
 
@@ -423,7 +423,7 @@ class SweepExecutor:
             # flush, so repro.obs can watch this run from outside the
             # process (dies with the journal's close())
             self.journal.start_heartbeat(
-                journal_mod.heartbeat_interval(),
+                durable.heartbeat_interval(),
                 stats_fn=self._heartbeat_stats,
                 flush_fn=self._flush_metrics,
             )
@@ -930,10 +930,12 @@ class SweepExecutor:
             finally:
                 if hard_stop:
                     # grace exhausted: stop waiting on stuck workers and
-                    # reap them; their units replay as in-flight on resume
+                    # reap them; their units replay as in-flight on resume.
+                    # SIGKILL: a forked worker inherits the driver's
+                    # SIGTERM drain handler, so terminate() would not stop it
                     for p in list(getattr(pool, "_processes", {}).values()):
                         try:
-                            p.terminate()
+                            p.kill()
                         except (OSError, AttributeError):
                             pass
                     pool.shutdown(wait=False, cancel_futures=True)

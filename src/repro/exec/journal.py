@@ -7,8 +7,9 @@ after the result is stored (the result itself is written atomically by
 :class:`~repro.exec.cache.ResultCache`), ``fail`` on terminal failure,
 plus run-level records (``run`` header, ``demote`` for degraded-mode
 transitions, a final ``state`` of ``complete`` / ``interrupted`` /
-``failed``).  Every append is flushed and fsynced, so the journal is
-the durable source of truth about what a killed process was doing.
+``failed``).  The file is a :class:`repro.durable.Log`: every append
+is flushed and fsynced, so the journal is the durable source of truth
+about what a killed process was doing.
 
 While a sweep runs, the journal is also its *liveness* channel: a
 daemon thread started by :meth:`RunJournal.start_heartbeat` appends a
@@ -29,21 +30,19 @@ the journal mentions:
   it.
 
 A torn final line — the record being appended when the process died —
-is tolerated and ignored; everything before it is intact by the
-append-only discipline.
+is counted and ignored (see :mod:`repro.durable`); everything before it
+is intact by the append-only discipline.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from ..telemetry import log, metrics
-from ..telemetry.metrics import FSYNC_BUCKETS_S
 
 __all__ = [
     "RunJournal",
@@ -53,8 +52,6 @@ __all__ = [
     "resolve",
     "latest_resumable",
     "JOURNAL_SCHEMA",
-    "DEFAULT_HEARTBEAT_S",
-    "heartbeat_interval",
 ]
 
 #: v2 added per-record ``unix`` timestamps and periodic ``hb``
@@ -63,44 +60,6 @@ JOURNAL_SCHEMA = 2
 
 #: terminal run states a ``state`` record may carry
 RUN_STATES = ("complete", "interrupted", "failed")
-
-#: default seconds between heartbeat records ($REPRO_HEARTBEAT_S
-#: overrides; invalid or non-positive values fall back here with a
-#: warning — liveness monitoring and lease TTLs both derive from this
-#: interval, so "disabled" is not a state the env var can express)
-DEFAULT_HEARTBEAT_S = 5.0
-
-#: raw $REPRO_HEARTBEAT_S values already warned about (once per value,
-#: not once per call — the interval is consulted on every run start)
-_HB_WARNED: set = set()
-
-
-def heartbeat_interval() -> float:
-    """The configured heartbeat period, from ``$REPRO_HEARTBEAT_S``.
-
-    Hardened: a value that does not parse as a float, or is not
-    strictly positive (NaN included), warns once and falls back to
-    :data:`DEFAULT_HEARTBEAT_S` instead of silently disabling the
-    liveness signal every staleness rule in :mod:`repro.obs` and
-    :mod:`repro.serve` is built on.
-    """
-    raw = os.environ.get("REPRO_HEARTBEAT_S", "")
-    if not raw:
-        return DEFAULT_HEARTBEAT_S
-    try:
-        value = float(raw)
-    except ValueError:
-        value = float("nan")
-    if value > 0:
-        return value
-    if raw not in _HB_WARNED:
-        _HB_WARNED.add(raw)
-        log.warn(
-            "journal.heartbeat_env",
-            f"ignoring REPRO_HEARTBEAT_S={raw!r} (need a positive "
-            f"number); using the default {DEFAULT_HEARTBEAT_S:g}s",
-        )
-    return DEFAULT_HEARTBEAT_S
 
 
 def journal_dir(cache_dir) -> Path:
@@ -149,19 +108,18 @@ class JournalReplay:
 
 
 class RunJournal:
-    """Append-only, fsynced JSONL journal for one sweep run."""
+    """One sweep run's journal: record schema over a durable log."""
 
-    def __init__(self, path, run_id: str, fsync: bool = True):
-        self.path = Path(path)
+    def __init__(self, path, run_id: str):
+        self._log = durable.Log(path, "journal.appends", "journal.append_s")
+        self.path = self._log.path
         self.run_id = run_id
-        self.fsync = fsync
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = open(self.path, "a")
-        self.closed = False
-        self._hb_stop: Optional[threading.Event] = None
-        self._hb_thread: Optional[threading.Thread] = None
+        self._hb_thread = None  # durable.every() thread
         self._hb_flush = None
+
+    @property
+    def closed(self) -> bool:
+        return self._log.closed
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -172,10 +130,9 @@ class RunJournal:
         command: str = "",
         argv=None,
         resumed_from: Optional[str] = None,
-        fsync: bool = True,
     ) -> "RunJournal":
         """Open a fresh journal under ``root`` and write its run header."""
-        j = cls(journal_dir(root) / f"{run_id}.jsonl", run_id, fsync=fsync)
+        j = cls(journal_dir(root) / f"{run_id}.jsonl", run_id)
         j.append(
             {
                 "t": "run",
@@ -193,22 +150,7 @@ class RunJournal:
     # -- appending --------------------------------------------------------
     def append(self, record: dict) -> None:
         """Durably append one record (flush + fsync before returning)."""
-        if self.closed:
-            return
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        t0 = time.perf_counter()
-        with self._lock:
-            self._f.write(line + "\n")
-            self._f.flush()
-            if self.fsync:
-                try:
-                    os.fsync(self._f.fileno())
-                except OSError:
-                    pass
-        metrics.counter("journal.appends").inc()
-        metrics.histogram("journal.append_s", FSYNC_BUCKETS_S).observe(
-            time.perf_counter() - t0
-        )
+        self._log.append(record)
 
     def record_plan(self, units: int, todo: int) -> None:
         self.append({"t": "plan", "units": units, "todo": todo, "unix": time.time()})
@@ -254,35 +196,23 @@ class RunJournal:
         if interval <= 0 or self._hb_thread is not None or self.closed:
             return False
         self._hb_flush = flush_fn
-        stop = self._hb_stop = threading.Event()
 
-        def _beat() -> None:
-            while not stop.wait(interval):
-                try:
-                    self.record_heartbeat(
-                        interval, **(stats_fn() if stats_fn is not None else {})
-                    )
-                    if flush_fn is not None:
-                        flush_fn()
-                except Exception:
-                    # liveness must never kill the run it reports on
-                    if self.closed:
-                        return
+        def beat() -> None:
+            self.record_heartbeat(
+                interval, **(stats_fn() if stats_fn is not None else {})
+            )
+            if flush_fn is not None:
+                flush_fn()
 
-        self._hb_thread = threading.Thread(
-            target=_beat, name="repro-heartbeat", daemon=True
-        )
-        self._hb_thread.start()
+        self._hb_thread = durable.every(interval, beat)
         return True
 
     def close(self, state: str = "complete") -> None:
         """Write the terminal ``state`` record and close the file."""
         if self.closed:
             return
-        if self._hb_stop is not None:
-            self._hb_stop.set()
         if self._hb_thread is not None:
-            self._hb_thread.join(timeout=2.0)
+            self._hb_thread.stop()
             self._hb_thread = None
         if state not in RUN_STATES:
             raise ValueError(f"unknown run state {state!r}; one of {RUN_STATES}")
@@ -292,9 +222,7 @@ class RunJournal:
             except Exception:
                 pass
         self.append({"t": "state", "state": state, "unix": time.time()})
-        with self._lock:
-            self.closed = True
-            self._f.close()
+        self._log.close()
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -317,18 +245,10 @@ def load(path) -> JournalReplay:
     rep = JournalReplay(run_id=path.stem, path=path)
     started: set = set()
     try:
-        raw = path.read_text()
+        records, rep.torn_lines = durable.replay(path)
     except OSError as e:
         raise FileNotFoundError(f"no journal at {path}: {e}") from e
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            rep.torn_lines += 1
-            continue
+    for rec in records:
         t = rec.get("t")
         if t == "run":
             rep.run_id = rec.get("run_id", rep.run_id)

@@ -8,11 +8,12 @@ run that is hung, crashed, or merely busy: observation is a pure read.
 
 Two layers:
 
-* :class:`JournalFollower` — an incremental, torn-tail-tolerant JSONL
-  reader.  Only newline-terminated lines are consumed; the torn tail a
-  live writer is mid-append on (or a killed writer left behind) stays
-  in the file unconsumed, so a later poll picks it up once complete.
-  A *complete* line that still fails to parse is counted and skipped.
+* :class:`JournalFollower` — :class:`repro.durable.Follower`, the
+  incremental, torn-tail-tolerant JSONL reader.  Only
+  newline-terminated lines are consumed; the torn tail a live writer is
+  mid-append on (or a killed writer left behind) stays in the file
+  unconsumed, so a later poll picks it up once complete.  A *complete*
+  line that still fails to parse is counted and skipped.
 * :class:`RunTracker` — folds journal records into a
   :class:`RunStatus`: unit accounting (planned / cached / done /
   failed / in-flight / queued), per-kind failure counts, progress %,
@@ -28,12 +29,13 @@ exist to answer.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from pathlib import Path
 from typing import Optional
 
-from ..exec.journal import DEFAULT_HEARTBEAT_S, journal_dir
+from ..durable import DEFAULT_HEARTBEAT_S
+from ..durable import Follower as JournalFollower
+from ..exec.journal import journal_dir
 
 __all__ = [
     "STALE_BEATS",
@@ -46,44 +48,6 @@ __all__ = [
 
 #: heartbeats a running journal may miss before it counts as dead
 STALE_BEATS = 3
-
-
-class JournalFollower:
-    """Incremental reader of one journal; safe against a live writer."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.offset = 0
-        #: complete-but-unparseable lines skipped so far
-        self.torn_lines = 0
-
-    def poll(self) -> list:
-        """Parse and return the records appended since the last poll.
-
-        Consumes only up to the last newline: the partial line of an
-        in-progress append is left for the next poll, so a concurrent
-        reader never misparses (or double-reads) a torn tail.
-        """
-        try:
-            with open(self.path, "rb") as f:
-                f.seek(self.offset)
-                chunk = f.read()
-        except OSError:
-            return []
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return []
-        body = chunk[: end + 1]
-        self.offset += len(body)
-        records = []
-        for line in body.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                self.torn_lines += 1
-        return records
 
 
 @dataclasses.dataclass

@@ -9,43 +9,22 @@ microseconds, so traces are exactly reproducible run to run.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional
 
+from ..telemetry.export import US, trace_document, write_document
 from .profile import LaunchProfile
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
 
-_US = 1e6  # trace-event timestamps are microseconds
+#: (tid, row name) of the launch timeline
+_ROWS = ((1, "kernels"), (2, "launch overhead"))
 
 
 def chrome_trace(
     profiles: Iterable[LaunchProfile], process_name: str = "repro"
 ) -> dict:
     """Build the trace-event dict for a sequence of launch profiles."""
-    events: list = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": process_name},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 1,
-            "args": {"name": "kernels"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 2,
-            "args": {"name": "launch overhead"},
-        },
-    ]
+    events: list = []
     for i, p in enumerate(profiles):
         if p.launch_overhead_s > 0:
             events.append(
@@ -55,8 +34,8 @@ def chrome_trace(
                     "ph": "X",
                     "pid": 1,
                     "tid": 2,
-                    "ts": p.queued_s * _US,
-                    "dur": p.launch_overhead_s * _US,
+                    "ts": p.queued_s * US,
+                    "dur": p.launch_overhead_s * US,
                     "args": {"kernel": p.kernel},
                 }
             )
@@ -67,8 +46,8 @@ def chrome_trace(
                 "ph": "X",
                 "pid": 1,
                 "tid": 1,
-                "ts": p.start_s * _US,
-                "dur": max(p.total_s, 1e-9) * _US,
+                "ts": p.start_s * US,
+                "dur": max(p.total_s, 1e-9) * US,
                 "args": {
                     "device": p.device,
                     "api": p.api,
@@ -93,7 +72,7 @@ def chrome_trace(
                 "ph": "C",
                 "pid": 1,
                 "tid": 0,
-                "ts": p.start_s * _US,
+                "ts": p.start_s * US,
                 "args": {"bytes": p.dram_bytes},
             }
         )
@@ -103,11 +82,11 @@ def chrome_trace(
                 "ph": "C",
                 "pid": 1,
                 "tid": 0,
-                "ts": p.start_s * _US,
+                "ts": p.start_s * US,
                 "args": {"tpr": round(p.transactions_per_request, 3)},
             }
         )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return trace_document(events, process_name, _ROWS)
 
 
 def write_chrome_trace(
@@ -116,7 +95,5 @@ def write_chrome_trace(
     process_name: Optional[str] = None,
 ) -> str:
     """Serialize :func:`chrome_trace` to ``path``; returns the path."""
-    trace = chrome_trace(profiles, process_name or "repro")
-    with open(path, "w") as f:
-        json.dump(trace, f, indent=1)
-    return path
+    doc = chrome_trace(profiles, process_name or "repro")
+    return write_document(doc, path)

@@ -40,6 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from ..telemetry import log
 from .wal import serve_dir
 
@@ -81,19 +82,14 @@ def read_endpoint(cache_dir) -> Optional[dict]:
 
 
 def write_endpoint(cache_dir, host: str, port: int) -> Path:
-    path = endpoint_path(cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(
+    return durable.atomic_write(
+        endpoint_path(cache_dir),
+        json.dumps(
             {"host": host, "port": port, "pid": os.getpid(),
              "unix": time.time()},
-            f, sort_keys=True,
-        )
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return path
+            sort_keys=True,
+        ),
+    )
 
 
 def clear_endpoint(cache_dir) -> None:

@@ -37,6 +37,7 @@ import threading
 import time
 from typing import Optional
 
+from .. import durable
 from .. import faults as faults_mod
 from ..errors import FailureKind
 from ..exec.cache import (
@@ -45,7 +46,6 @@ from ..exec.cache import (
     result_from_json,
 )
 from ..exec.engine import retry_delay
-from ..exec.journal import heartbeat_interval
 from ..exec.unit import make_unit, unit_digest
 from ..telemetry import log, metrics
 from .admission import (
@@ -97,7 +97,6 @@ class SweepDaemon:
         breaker_cooldown: float = 30.0,
         hb_interval: Optional[float] = None,
         faults=None,
-        fsync: bool = True,
     ) -> None:
         self.cache_dir = str(cache_dir)
         self.cache = ResultCache(cache_dir)
@@ -111,14 +110,14 @@ class SweepDaemon:
         self.queue_bound = max(1, int(queue_bound))
         self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
         self.hb_interval = (
-            heartbeat_interval() if hb_interval is None else float(hb_interval)
+            durable.heartbeat_interval() if hb_interval is None
+            else float(hb_interval)
         )
         self.lease_ttl = default_ttl(self.hb_interval)
         self.faults = (
             faults_mod.from_spec(faults) if faults is not None
             else faults_mod.from_env()
         )
-        self.fsync = fsync
 
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
@@ -138,6 +137,7 @@ class SweepDaemon:
         self.reclaimed_on_boot = 0
         self.wal: Optional[QueueWAL] = None
         self.leases: Optional[LeaseManager] = None
+        self._housekeeper = None  # durable.every() thread
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "SweepDaemon":
@@ -147,7 +147,7 @@ class SweepDaemon:
         self._units = rep.units
         self._tickets = rep.tickets
         self.leases = LeaseManager(self.lease_ttl, floor=rep.next_token)
-        self.wal = QueueWAL(wal_path(self.cache_dir), fsync=self.fsync)
+        self.wal = QueueWAL(wal_path(self.cache_dir))
         self.wal.record_boot(self.epoch, self.jobs)
         self.started_unix = time.time()
         # every lease open at the previous daemon's death is stale by
@@ -179,12 +179,9 @@ class SweepDaemon:
             )
             t.start()
             self._threads.append(t)
-        hk = threading.Thread(
-            target=self._housekeeping_loop, name="serve-housekeeping",
-            daemon=True,
+        self._housekeeper = durable.every(
+            self.hb_interval, self._housekeep, name="serve-housekeeping"
         )
-        hk.start()
-        self._threads.append(hk)
         log.info(
             "serve.boot",
             f"daemon up: epoch {self.epoch}, {self.jobs} dispatchers, "
@@ -219,6 +216,7 @@ class SweepDaemon:
         with self._work:
             self._stop.set()
             self._work.notify_all()
+        self._housekeeper.stop()
         deadline = time.monotonic() + max(0.0, float(grace))
         for t in self._threads:
             t.join(max(0.1, deadline - time.monotonic()))
@@ -658,14 +656,9 @@ class SweepDaemon:
             )
 
     # -- housekeeping ------------------------------------------------------
-    def _housekeeping_loop(self) -> None:
-        while not self._stop.wait(self.hb_interval):
-            try:
-                self.reap_expired()
-                self._heartbeat()
-            except Exception:
-                if self._stop.is_set():
-                    return  # shutdown race; liveness must not kill the daemon
+    def _housekeep(self) -> None:
+        self.reap_expired()
+        self._heartbeat()
 
     def reap_expired(self) -> int:
         """Reclaim every lease whose holder stopped renewing (3x rule)."""

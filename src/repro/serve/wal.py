@@ -1,8 +1,8 @@
 """The durable queue WAL: the daemon's single source of truth.
 
-The sweep daemon journals every queue transition to one append-only,
-fsynced JSONL file under the workdir (``<cache>/serve/queue.jsonl``),
-in the same record style as the per-run sweep journal
+The sweep daemon journals every queue transition to one
+:class:`repro.durable.Log` under the workdir
+(``<cache>/serve/queue.jsonl``), like the per-run sweep journal
 (:mod:`repro.exec.journal`): one compact JSON object per line, flushed
 and fsynced before the operation it describes is acknowledged.  A
 ``kill -9`` of the daemon therefore loses nothing — the WAL replays
@@ -47,15 +47,12 @@ Record types (``"t"``):
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Optional
 
-from ..telemetry import metrics
-from ..telemetry.metrics import FSYNC_BUCKETS_S
+from .. import durable
 
 __all__ = [
     "QueueWAL",
@@ -85,34 +82,17 @@ def wal_path(cache_dir) -> Path:
 
 
 class QueueWAL:
-    """Append-only, fsynced JSONL writer for the daemon queue."""
+    """The daemon queue's record schema over a durable log."""
 
-    def __init__(self, path, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = open(self.path, "a")
-        self.closed = False
+    def __init__(self, path):
+        self._log = durable.Log(
+            path, "serve.wal.appends", "serve.wal.append_s"
+        )
+        self.path = self._log.path
 
     def append(self, record: dict) -> None:
         """Durably append one record (flush + fsync before returning)."""
-        if self.closed:
-            return
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        t0 = time.perf_counter()
-        with self._lock:
-            self._f.write(line + "\n")
-            self._f.flush()
-            if self.fsync:
-                try:
-                    os.fsync(self._f.fileno())
-                except OSError:
-                    pass
-        metrics.counter("serve.wal.appends").inc()
-        metrics.histogram("serve.wal.append_s", FSYNC_BUCKETS_S).observe(
-            time.perf_counter() - t0
-        )
+        self._log.append(record)
 
     # -- record helpers ----------------------------------------------------
     def record_boot(self, epoch: int, jobs: int) -> None:
@@ -183,11 +163,7 @@ class QueueWAL:
         self.append({"t": "state", "state": state, "unix": time.time()})
 
     def close(self) -> None:
-        if self.closed:
-            return
-        with self._lock:
-            self.closed = True
-            self._f.close()
+        self._log.close()
 
     def __enter__(self) -> "QueueWAL":
         return self
@@ -275,19 +251,11 @@ def replay(path) -> QueueReplay:
     path = Path(path)
     rep = QueueReplay(path=path)
     try:
-        raw = path.read_text()
+        records, rep.torn_lines = durable.replay(path)
     except OSError:
         return rep
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            rep.torn_lines += 1
-            continue
-        rep.records += 1
+    rep.records = len(records)
+    for rec in records:
         u = rec.get("unix")
         if isinstance(u, (int, float)):
             rep.last_unix = u if rep.last_unix is None else max(rep.last_unix, u)

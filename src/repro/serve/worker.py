@@ -34,6 +34,7 @@ import traceback
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from .. import faults as faults_mod
 from ..errors import FailureKind, classify, is_injected
 from ..exec.cache import ResultCache, result_to_json
@@ -82,13 +83,8 @@ def read_errfile(cache_dir, token: int) -> Optional[dict]:
 
 
 def _write_errfile(cache_dir, token: int, err: dict) -> None:
-    path = errfile_path(cache_dir, token)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as f:
-            json.dump(err, f)
-        os.replace(tmp, path)
+        durable.atomic_write(errfile_path(cache_dir, token), json.dumps(err))
     except OSError:
         pass  # the daemon falls back to a generic CRASH classification
 

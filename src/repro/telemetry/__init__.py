@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import log
 from .cli import add_telemetry_arguments, finish_run, progress_mode, start_run
-from .export import chrome_trace, trace_events, write_trace
+from .export import chrome_trace, write_trace
 from .manifest import RunManifest, default_manifest_path, git_sha
 from .metrics import (
     FSYNC_BUCKETS_S,
@@ -85,7 +85,6 @@ __all__ = [
     "git_sha",
     "default_manifest_path",
     "ProgressLine",
-    "trace_events",
     "chrome_trace",
     "write_trace",
 ]

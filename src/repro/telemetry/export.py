@@ -1,10 +1,13 @@
-"""Merged chrome-trace export: engine spans + simulated kernel time.
+"""Chrome-trace export: the one Trace Event Format builder and writer.
 
-Extends the Trace Event Format exporter of :mod:`repro.prof.trace` from
-single-benchmark launch timelines to whole runs: one ``trace.json``
-(loadable in chrome://tracing / Perfetto) showing engine scheduling,
-cache I/O, retries/backoff, injected faults, and the simulator's
-virtual kernel time on a single timeline.
+:func:`trace_document` wraps a list of events in the process/thread
+metadata every trace carries, and :func:`write_document` serializes
+it.  Two producers feed it: :mod:`repro.prof.trace` (one benchmark's
+launch timeline on the virtual clock) and :func:`chrome_trace` below
+(whole runs: one ``trace.json``, loadable in chrome://tracing /
+Perfetto, showing engine scheduling, cache I/O, retries/backoff,
+injected faults, and the simulator's virtual kernel time on a single
+timeline).
 
 Mapping:
 
@@ -26,9 +29,10 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional
 
-__all__ = ["trace_events", "chrome_trace", "write_trace"]
+__all__ = ["trace_document", "write_document", "chrome_trace", "write_trace"]
 
-_US = 1e6
+#: trace-event timestamps are microseconds
+US = 1e6
 
 #: span category -> (tid, human row name); unknown categories land on
 #: the engine row rather than vanishing
@@ -49,31 +53,37 @@ def _tid(cat: str) -> int:
     return _ROWS.get(cat, _DEFAULT_ROW)[0]
 
 
-def trace_events(events: Iterable, process_name: str = "repro run") -> list:
-    """Convert tracer events (Span/Instant or their dicts) to trace events."""
+def trace_document(events: list, process_name: str, rows) -> dict:
+    """A trace document: process and thread metadata, then ``events``.
+
+    ``rows`` are the ``(tid, name)`` pairs the viewer labels.
+    """
+    meta = [{
+        "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+        "args": {"name": process_name},
+    }]
+    for tid, row in rows:
+        meta.append({
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+            "args": {"name": row},
+        })
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+
+
+def write_document(doc: dict, path: str) -> str:
+    """Serialize one trace document to ``path``; returns the path."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+    return path
+
+
+def chrome_trace(events: Iterable, process_name: str = "repro run") -> dict:
+    """The merged run trace of tracer events (Span/Instant or their dicts)."""
     evs = [e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in events]
     if not evs:
-        return []
+        return {"traceEvents": [], "displayTimeUnit": "ms"}
     t_base = min(e["t0"] if e.get("kind") != "instant" else e["ts"] for e in evs)
-    out: list = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for tid, row in sorted(set(_ROWS.values())):
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": row},
-            }
-        )
+    out: list = []
     for e in evs:
         attrs = dict(e.get("attrs") or {})
         if e.get("kind") == "instant":
@@ -85,7 +95,7 @@ def trace_events(events: Iterable, process_name: str = "repro run") -> list:
                     "s": "t",  # thread-scoped marker
                     "pid": 1,
                     "tid": _tid(e["cat"]),
-                    "ts": (e["ts"] - t_base) * _US,
+                    "ts": (e["ts"] - t_base) * US,
                     "args": attrs,
                 }
             )
@@ -102,25 +112,17 @@ def trace_events(events: Iterable, process_name: str = "repro run") -> list:
                 "ph": "X",
                 "pid": 1,
                 "tid": _tid(e["cat"]),
-                "ts": (t0 - t_base) * _US,
-                "dur": max(t1 - t0, 1e-9) * _US,
+                "ts": (t0 - t_base) * US,
+                "dur": max(t1 - t0, 1e-9) * US,
                 "args": attrs,
             }
         )
-    return out
-
-
-def chrome_trace(events: Iterable, process_name: str = "repro run") -> dict:
-    return {
-        "traceEvents": trace_events(events, process_name),
-        "displayTimeUnit": "ms",
-    }
+    return trace_document(out, process_name, sorted(set(_ROWS.values())))
 
 
 def write_trace(
     events: Iterable, path: str, process_name: Optional[str] = None
 ) -> str:
     """Serialize the merged run trace to ``path``; returns the path."""
-    with open(path, "w") as f:
-        json.dump(chrome_trace(events, process_name or "repro run"), f, indent=1)
-    return path
+    doc = chrome_trace(events, process_name or "repro run")
+    return write_document(doc, path)

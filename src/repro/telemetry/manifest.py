@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from .. import durable
 from .._version import __version__
 
 __all__ = ["RunManifest", "git_sha", "default_manifest_path"]
@@ -139,18 +140,9 @@ class RunManifest:
         return cls(**{k: v for k, v in payload.items() if k in fields})
 
     def write(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-            f.flush()
-            try:
-                os.fsync(f.fileno())
-            except OSError:
-                pass
-        os.replace(tmp, path)
-        return path
+        return durable.atomic_write(
+            path, json.dumps(self.to_json(), indent=1, sort_keys=True)
+        )
 
     @classmethod
     def load(cls, path) -> "RunManifest":

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+from .. import durable
 
 __all__ = [
     "Counter",
@@ -303,28 +304,16 @@ def write_snapshot_file(
 
     The engine's heartbeat thread calls this every beat, so a scraper
     (``repro.obs metrics``) always reads a complete, at-most-one-beat-old
-    document — never a torn write (tmp + ``os.replace``).
+    document — never a torn write (:func:`repro.durable.atomic_write`).
     """
-    path = snapshot_path(cache_dir, run_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": SNAPSHOT_SCHEMA,
         "run_id": run_id,
         "unix": time.time(),
         "metrics": snapshot if snapshot is not None else _REGISTRY.snapshot(),
     }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    return durable.atomic_write(snapshot_path(cache_dir, run_id), text)
 
 
 def load_snapshot_file(path) -> dict:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import durable
 from repro.exec import journal as jmod
 from repro.exec.journal import JournalReplay, RunJournal
 
@@ -196,26 +197,26 @@ class TestHeartbeat:
 
     def test_heartbeat_interval_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_HEARTBEAT_S", raising=False)
-        assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
+        assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.25")
-        assert jmod.heartbeat_interval() == 0.25
+        assert durable.heartbeat_interval() == 0.25
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "bogus")
-        assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
+        assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
 
     def test_heartbeat_interval_rejects_non_positive(self, monkeypatch):
         # liveness (and serve lease TTLs) derive from this interval, so
         # zero/negative/NaN must fall back to the default, not disable
         for bad in ("0", "-3", "0.0", "nan", "-inf"):
             monkeypatch.setenv("REPRO_HEARTBEAT_S", bad)
-            assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
+            assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
 
     def test_heartbeat_interval_warns_once_per_value(self, monkeypatch, capsys):
-        jmod._HB_WARNED.discard("-7")
+        durable._HB_WARNED.discard("-7")
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "-7")
-        assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
+        assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
         first = capsys.readouterr().err
         assert "REPRO_HEARTBEAT_S" in first
-        assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
+        assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
         assert "REPRO_HEARTBEAT_S" not in capsys.readouterr().err
 
 

@@ -6,7 +6,10 @@ Three real CLI processes:
    JSON;
 2. the same sweep in a fresh cache with an injected ``interrupt`` fault
    (the chaos harness SIGINTs the parent mid-sweep) — it must drain,
-   exit 75, journal ``interrupted``, and write **no** results document;
+   exit 75, journal ``interrupted``, and write **no** results document.
+   A pinned ``hang`` on the first unit the pool picks up keeps it
+   running past the short ``--grace``, so the drain always strands
+   work however fast the simulator is;
 3. a ``--resume`` rerun with the fault cleared — it must exit 0,
    re-simulate only what the interrupted run did not finish, and write
    results JSON **byte-identical** to the uninterrupted reference.
@@ -30,6 +33,11 @@ ARGS = [
     "--device", "GTX480", "--api", "both", "--size", "small",
     "--jobs", "4", "--quiet",
 ]
+
+#: SIGINT the driver when Sobel/cuda starts, while BFS/cuda (submitted
+#: first, so already on a worker) hangs far past the drain grace
+INTERRUPT_FAULTS = "interrupt:Sobel/cuda*;hang:BFS/cuda*:1.0:1:120"
+INTERRUPT_GRACE = ["--grace", "5"]
 
 
 def run_cli(args, cache, faults=None):
@@ -56,8 +64,8 @@ def scenario(tmp_path_factory):
 
     reference = run_cli(ARGS + ["--results-json", str(ref_json)], ref_cache)
     interrupted = run_cli(
-        ARGS + ["--results-json", str(out_json)], cache,
-        faults="interrupt:Sobel/cuda*",
+        ARGS + INTERRUPT_GRACE + ["--results-json", str(out_json)], cache,
+        faults=INTERRUPT_FAULTS,
     )
     # checked here because the resumed run (rightly) writes this file
     partial_results_written = out_json.exists()

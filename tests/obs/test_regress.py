@@ -91,6 +91,15 @@ class TestHistory:
             f.write('{"schema": 1, "torn')
         assert len(load_history(path)) == 1
 
+    def test_append_after_torn_tail_survives(self, tmp_path):
+        path = tmp_path / "BENCH_history.jsonl"
+        append_history(payload(), path)
+        with open(path, "a") as f:
+            f.write('{"schema": 1, "torn')
+        append_history(payload(**{"sim.kernel_seconds": 2.0}), path)
+        records = load_history(path)
+        assert [r["metrics"]["sim.kernel_seconds"] for r in records] == [1.0, 2.0]
+
     def test_missing_file_is_empty(self, tmp_path):
         assert load_history(tmp_path / "nope.jsonl") == []
 

@@ -74,6 +74,20 @@ class TestAppendReplay:
         assert rep.torn_lines == 1
         assert rep.units["d1"].state == "queued"
 
+    def test_first_record_after_torn_tail_survives(self, tmp_path):
+        # a restart after kill -9 mid-append must not glue its boot
+        # record onto the fragment: the epoch would stay 1 and the next
+        # restart would reuse epoch 2
+        with make_wal(tmp_path) as w:
+            w.record_boot(1, 2)
+        with open(wal_path(tmp_path), "a") as f:
+            f.write('{"t": "lease", "d": "d1", "tok')
+        with make_wal(tmp_path) as w:
+            w.record_boot(2, 2)
+        rep = replay(wal_path(tmp_path))
+        assert rep.epoch == 2
+        assert rep.torn_lines == 1
+
     def test_boot_resets_terminal_state(self, tmp_path):
         with make_wal(tmp_path) as w:
             w.record_boot(1, 2)
