@@ -1,7 +1,14 @@
 """Architecture models: device specs, peaks, coalescing, caches, occupancy."""
-from .banks import bank_conflicts
+from .banks import bank_conflicts, bank_replays
 from .caches import CacheStats, LRUCache, null_cache
-from .coalesce import coalesce, segments_gt200, segments_lines
+from .coalesce import (
+    coalesce,
+    row_distinct,
+    row_lines,
+    row_segments,
+    segments_gt200,
+    segments_lines,
+)
 from .occupancy import Occupancy, occupancy
 from .peak import theoretical_bandwidth_gbs, theoretical_flops_gfs
 from .specs import (
@@ -18,10 +25,14 @@ from .specs import (
 
 __all__ = [
     "bank_conflicts",
+    "bank_replays",
     "CacheStats",
     "LRUCache",
     "null_cache",
     "coalesce",
+    "row_distinct",
+    "row_lines",
+    "row_segments",
     "segments_gt200",
     "segments_lines",
     "Occupancy",

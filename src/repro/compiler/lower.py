@@ -79,20 +79,8 @@ def _is_pow2(v) -> bool:
     return iv > 0 and (iv & (iv - 1)) == 0
 
 
-def _mentions_var(key, name: str) -> bool:
-    if isinstance(key, tuple):
-        if len(key) == 2 and key[0] == "var" and key[1] == name:
-            return True
-        return any(_mentions_var(k, name) for k in key)
-    return False
-
-
 def _key_vars(key) -> frozenset:
-    """All variable names mentioned anywhere in an expression key.
-
-    One traversal instead of one :func:`_mentions_var` walk per
-    (key, name) query — the CSE memo caches this per key.
-    """
+    """All variable names mentioned anywhere in an expression key."""
     out: set = set()
     stack = [key]
     while stack:
@@ -143,6 +131,11 @@ class Lowerer:
         #: key -> frozenset of mentioned variable names (pure function
         #: of the key, so entries never go stale)
         self._memo_kv: dict = {}
+        #: variable name -> memo keys mentioning it, so an assignment
+        #: drops exactly its dependents instead of rescanning the memo.
+        #: A superset of the live keys: removed keys linger until their
+        #: variable is next invalidated, and each is dropped once.
+        self._var_keys: dict[str, set] = {}
         self.cur_pred: Optional[tuple] = None
         self._labels = itertools.count()
         # shared-memory layout
@@ -208,9 +201,15 @@ class Lowerer:
 
     def _memo_put(self, e: Expr, reg: Reg) -> None:
         if self.style.cse and self.cur_pred is None and _is_pure(e):
-            key = e.key()
-            self.memo[key] = reg
-            self._kv(key)
+            self._remember(e.key(), reg)
+
+    def _remember(self, key, reg: Reg) -> None:
+        self.memo[key] = reg
+        for name in self._kv(key):
+            keys = self._var_keys.get(name)
+            if keys is None:
+                keys = self._var_keys[name] = set()
+            keys.add(key)
 
     def _kv(self, key) -> frozenset:
         vs = self._memo_kv.get(key)
@@ -219,10 +218,11 @@ class Lowerer:
         return vs
 
     def invalidate_var(self, name: str) -> None:
-        if self.memo:
-            self.memo = {
-                k: v for k, v in self.memo.items() if name not in self._kv(k)
-            }
+        keys = self._var_keys.pop(name, None)
+        if keys:
+            memo = self.memo
+            for k in keys:
+                memo.pop(k, None)
 
     def _eval(self, e: Expr, into: Optional[Reg]) -> Union[Reg, Imm]:
         if isinstance(e, Const):
@@ -429,8 +429,7 @@ class Lowerer:
             )
             self.emit(Instr(Op.ADD, Scalar.U32, dst=addr, srcs=(t, base)))
         if memo_key is not None and self.cur_pred is None:
-            self.memo[memo_key] = addr
-            self._kv(memo_key)
+            self._remember(memo_key, addr)
         return addr
 
     def _eval_load(self, e: Load, into: Optional[Reg]) -> Reg:
@@ -470,12 +469,8 @@ class Lowerer:
         self.invalidate_var(var.name)
 
     def invalidate_vars(self, names) -> None:
-        if self.memo and names:
-            self.memo = {
-                k: v
-                for k, v in self.memo.items()
-                if not (self._kv(k) & names)
-            }
+        for name in names:
+            self.invalidate_var(name)
 
     def lower_block(self, body) -> None:
         """Lower a nested region with CSE-memo isolation.
@@ -484,6 +479,8 @@ class Lowerer:
         depending on variables the region mutates: entries created inside
         may have been computed under a partial mask (or inside a loop) and
         entries depending on mutated variables are stale after the region.
+        The kept entries stay in the reverse index: every variable the
+        region invalidated is one it mutates.
         """
         assigned = _assigned_names(body)
         snapshot = dict(self.memo)

@@ -12,16 +12,25 @@ Per-warp costs are recovered exactly: an instruction executed under mask
 ``m`` is *issued* by every 32-lane group with an active lane, so its
 issue cost is ``cost * active_groups(m)`` per block — identical to
 executing blocks one at a time.  Memory instructions are costed per
-hardware warp group (coalescing is a per-warp phenomenon) through
-:class:`~repro.sim.memsys.MemorySystem`.
+hardware warp group (coalescing and bank conflicts are per-warp
+phenomena) through :class:`~repro.sim.memsys.MemorySystem`.
 
 Batching invariants (the bit-identity contract, see DESIGN.md):
 
-* **Deferred memory-system replay** — cache state (per-CU L1/tex/const
-  banks, the shared L2) is order-sensitive, so the batched pass only
-  *records* every memory access; at batch end the accesses replay per
-  block in linear block order, reproducing the exact sequential cache
-  evolution and DRAM-byte accumulation of per-block execution.
+* **Bulk memory charges, deferred cache walks** — every warp row of a
+  memory visit is coalesced (:func:`~repro.arch.coalesce.row_segments`),
+  bank-resolved (:func:`~repro.arch.banks.bank_replays`) or reduced to
+  its texture lines / constant addresses in one vectorized pass at
+  record time.  Charges that touch no cache state — shared-memory banks
+  and the cache-less global path — are summed per block there; only the
+  L1/L2, texture and constant cache walks, which are order-sensitive,
+  stay per row.  At batch end each block makes one memory-system call
+  per visit, in linear block order, so caches evolve exactly as under
+  per-block execution.  The per-block sums are exact because
+  ``dram_latency``, ``tx_cycles`` and ``shared_latency`` are
+  integer-valued (a test holds every spec to that), and a block's DRAM
+  regions enter ``region_counts`` in row order, so its insertion order
+  is unchanged too.
 * **Per-block cost folds** — ``comp``/``memc`` accumulate per block in
   that block's own visit order, so the float summation order (and hence
   every last ulp of the timing model) matches per-block execution.
@@ -46,6 +55,8 @@ from collections import Counter
 
 import numpy as np
 
+from ..arch.banks import bank_replays
+from ..arch.coalesce import row_segments
 from ..arch.specs import DeviceSpec
 from ..kir.types import AddrSpace, Scalar, np_dtype, sizeof
 from ..ptx.instructions import Imm, Instr, Reg
@@ -97,6 +108,50 @@ def _batch_size(width: int, blocks: int) -> int:
                 "integer); using the lane-budget default",
             )
     return max(1, min(_BATCH_CAP, _BATCH_LANES // max(width, 1), blocks))
+
+
+def _blocks(cnt: np.ndarray, nb: int) -> list:
+    """Split per-row item counts into per-block work.
+
+    ``cnt`` counts each warp row's items (lanes or segments), whose
+    row-major concatenation is the visit's item list.  Returns, per
+    block, ``(lo, hi, r_lo, r_hi)``: its slice of that list and of
+    the non-empty rows (``cnt[cnt > 0]``) — or None when it has none.
+    """
+    per = cnt.reshape(nb, -1)
+    ends = np.cumsum(per.sum(axis=1)).tolist()
+    row_ends = np.cumsum((per > 0).sum(axis=1)).tolist()
+    out = []
+    lo = r_lo = 0
+    for hi, r_hi in zip(ends, row_ends):
+        out.append((lo, hi, r_lo, r_hi) if hi > lo else None)
+        lo, r_lo = hi, r_hi
+    return out
+
+
+def _walks(fn, row, items, nrows: int, nb: int, *tail, traffic=None) -> tuple:
+    """One cache walk per block over its rows' items, in row order.
+
+    ``row``/``items`` list the items (line bases) of the visit's
+    ``nrows`` warp rows, row by row; ``traffic`` optionally gives
+    each row's bytes.
+    """
+    cnt = np.bincount(row, minlength=nrows)
+    live = cnt > 0
+    counts = cnt[live].tolist()
+    flat = items.tolist()
+    per_row = None if traffic is None else traffic[live].tolist()
+    per_block = []
+    for b in _blocks(cnt, nb):
+        if b is None:
+            per_block.append(None)
+            continue
+        lo, hi, r_lo, r_hi = b
+        args = (flat[lo:hi], counts[r_lo:r_hi])
+        if per_row is not None:
+            args += (per_row[r_lo:r_hi],)
+        per_block.append(args + tail)
+    return fn, per_block
 
 
 class SimulationError(RuntimeError):
@@ -628,8 +683,10 @@ class GridRunner:
                 visits.append(("l", hk, ngr_l, sizeof(i.dtype)))
                 stats.mem_instructions += tot
             elif op is Op.LD or op is Op.ST or op is Op.TEX:
-                rows = self._memory_access(regs, i, pc, shared, active, afull, nb)
-                visits.append(("m", hk, ngr_l, rows))
+                charge = self._memory_access(
+                    regs, i, pc, shared, active, afull, nb
+                )
+                visits.append(("m", hk, ngr_l, charge))
                 stats.mem_instructions += tot
             elif op is Op.SETP:
                 a = self._read(regs, i.srcs[0], pc, 0)
@@ -707,12 +764,14 @@ class GridRunner:
 
     def _memory_access(
         self, regs, i: Instr, pc: int, shared, active, afull, nb: int
-    ) -> dict:
-        """Perform the functional memory effect; record the cost rows.
+    ) -> tuple:
+        """Perform the functional memory effect; record its charge.
 
-        Returns ``{block: [(kind, addr_array, size), ...]}`` — the
-        per-warp-row access descriptors the batch-end replay feeds to
-        the memory system in per-block order.
+        Returns ``(fn, per_block)``: the batch-end :meth:`_replay` calls
+        ``fn(cu, *per_block[j])`` once for block ``j`` (None: the block
+        issued nothing).  Per-warp coalescing and bank conflicts are
+        resolved here for all rows at once; ``fn`` charges the memory
+        system, walking stateful caches row by row in row order.
         """
         size = sizeof(i.dtype)
         WW = self.WW
@@ -729,202 +788,25 @@ class GridRunner:
                 a = np.full(lanes, a)
             addr_full = a.astype(np.int64)
 
-        # per hardware-warp cost rows (coalescing is a per-warp
-        # phenomenon); rows of a block are contiguous and in-order
-        nwpb = self.ngroups_full
-        space = i.space
-        if i.op is Op.TEX:
-            kind = "t"
-        elif space is AddrSpace.SHARED:
-            kind = "s"
-        elif space is AddrSpace.CONST:
-            kind = "c"
-        else:
-            kind = "G" if i.op is Op.ST else "g"
         # fully-active visits skip the mask compaction entirely — the
         # compacted address list IS the full lane vector ("full" frames
         # only have every lane active when the block has no padding)
         afull = afull and self._m0full
         addrs = addr_full if afull else addr_full[active]
-        rowdata: dict[int, list] = {}
-        handled = False
-        if kind in ("g", "G") and self.spec.architecture != "gt200":
-            # line-rule devices: resolve every warp row's distinct cache
-            # lines in one vectorized pass instead of one np.unique per
-            # row (bit-identical to coalesce(): sorted distinct lines)
-            line = self.spec.line_bytes
-            if line & (line - 1) == 0:
-                # power-of-two line: arithmetic shift is floor division
-                sh = line.bit_length() - 1
-                first = addr_full >> sh
-                last = (addr_full + (size - 1)) >> sh
-            else:  # pragma: no cover - no such device spec today
-                first = addr_full // line
-                last = (addr_full + (size - 1)) // line
-            straddle_free = (
-                np.array_equal(first, last)
-                if afull
-                else np.array_equal(first[active], last[active])
-            )
-            if straddle_free:
-                if afull:
-                    srt = np.sort(first.reshape(-1, WW), axis=1)
-                    newv = np.empty(srt.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = srt[:, 1:] != srt[:, :-1]
-                    keep = newv
-                else:
-                    sent = np.int64(np.iinfo(np.int64).max)
-                    fm = np.where(active, first, sent).reshape(-1, WW)
-                    srt = np.sort(fm, axis=1)
-                    newv = np.empty(srt.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = srt[:, 1:] != srt[:, :-1]
-                    keep = newv & (srt != sent)
-                pk = "P" if kind == "G" else "p"
-                # rows with active lanes are exactly the rows with kept
-                # lines; one flat extraction, then per-row list slices
-                cnt = keep.sum(axis=1).tolist()
-                flat = (srt[keep] * line).tolist()
-                pos = 0
-                for r, c in enumerate(cnt):
-                    if c:
-                        rowdata.setdefault(r // nwpb, []).append(
-                            (pk, flat[pos : pos + c], c * line)
-                        )
-                    pos += c
-                handled = True
-        elif (
-            kind in ("g", "G")
-            and self.spec.architecture == "gt200"
-            and WW % 16 == 0
-        ):
-            # GT200 half-warp rule, vectorized across every warp row of
-            # the visit (bit-identical to segments_gt200 for the common
-            # shape: fully-active rows, no access straddling a 128B
-            # segment).  Each half-warp chunks the *compacted* address
-            # list; sorting it groups same-segment addresses into runs,
-            # whose min/max drive the 128->64->32 shrink rule.
-            if afull:
-                cnt = np.full(addrs.size // WW, WW, dtype=np.int64)
-                rows_uniform = True
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1)
-                rows_uniform = bool(((cnt == 0) | (cnt == WW)).all())
-            if rows_uniform:
-                size_eff = size if size > 1 else 1
-                half = addrs.reshape(-1, 16)
-                srt = np.sort(half, axis=1)
-                f = srt >> 7
-                if np.array_equal(f, (srt + (size_eff - 1)) >> 7):
-                    newv = np.empty(f.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = f[:, 1:] != f[:, :-1]
-                    lastv = np.empty(f.shape, dtype=bool)
-                    lastv[:, -1] = True
-                    lastv[:, :-1] = newv[:, 1:]
-                    firsts = srt[newv]
-                    lasts = srt[lastv] + size_eff
-                    fit64 = (firsts >> 6) << 6
-                    ok64 = lasts <= fit64 + 64
-                    fit32 = (firsts >> 5) << 5
-                    ok32 = ok64 & (lasts <= fit32 + 32)
-                    starts = np.where(
-                        ok32, fit32, np.where(ok64, fit64, (firsts >> 7) << 7)
-                    ).tolist()
-                    widths = np.where(ok32, 32, np.where(ok64, 64, 128))
-                    segrow = newv.sum(axis=1).reshape(-1, WW // 16).sum(axis=1)
-                    if widths.size:
-                        bounds = np.cumsum(segrow)
-                        traffic = np.add.reduceat(
-                            widths, np.r_[0, bounds[:-1]]
-                        ).tolist()
-                    else:
-                        traffic = []
-                    nsegs = segrow.tolist()
-                    pk = "P" if kind == "G" else "p"
-                    pos = 0
-                    ar = 0
-                    for r, c in enumerate(cnt.tolist()):
-                        if c:
-                            ns = nsegs[ar]
-                            rowdata.setdefault(r // nwpb, []).append(
-                                (pk, starts[pos : pos + ns], traffic[ar])
-                            )
-                            pos += ns
-                            ar += 1
-                    handled = True
-        elif kind == "s":
-            # bank-replay factors are a pure function of the address
-            # pattern (no cache state), so resolve them here; blocks of
-            # a batch almost always address shared memory identically,
-            # so the per-block rows collapse onto block 0's patterns
-            if afull:
-                cnt = [WW] * (addrs.size // WW)
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1).tolist()
-            if self.spec.local_mem_is_plain_memory:
-                for r, c in enumerate(cnt):
-                    if c:
-                        rowdata.setdefault(r // nwpb, []).append(("S", 1, 0))
-            else:
-                memsys = self.memsys
-                invariant = False
-                if nb > 1:
-                    am = addr_full.reshape(nb, -1)
-                    mm = active.reshape(nb, -1)
-                    invariant = bool(
-                        np.array_equal(
-                            am, np.broadcast_to(am[0], am.shape)
-                        )
-                        and np.array_equal(
-                            mm, np.broadcast_to(mm[0], mm.shape)
-                        )
-                    )
-                if invariant:
-                    reps = [None] * nwpb
-                    pos = 0
-                    for r in range(nwpb):
-                        c = cnt[r]
-                        if c:
-                            reps[r] = memsys.shared_replay_factor(
-                                addrs[pos : pos + c]
-                            )
-                            pos += c
-                    for r, c in enumerate(cnt):
-                        if c:
-                            rowdata.setdefault(r // nwpb, []).append(
-                                ("S", reps[r % nwpb], 0)
-                            )
-                else:
-                    pos = 0
-                    for r, c in enumerate(cnt):
-                        if c:
-                            rowdata.setdefault(r // nwpb, []).append(
-                                (
-                                    "S",
-                                    memsys.shared_replay_factor(
-                                        addrs[pos : pos + c]
-                                    ),
-                                    0,
-                                )
-                            )
-                            pos += c
-            handled = True
-        if not handled:
-            # compacted lane addresses are row-major, so each warp row
-            # owns a contiguous slice of ``addrs``
-            if afull:
-                cnt = [WW] * (addrs.size // WW)
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1).tolist()
-            pos = 0
-            for r, c in enumerate(cnt):
-                if c:
-                    rowdata.setdefault(r // nwpb, []).append(
-                        (kind, addrs[pos : pos + c], size)
-                    )
-                pos += c
+        space = i.space
+        rows = addr_full.reshape(-1, WW)
+        act = None if afull else active.reshape(-1, WW)
+        memsys = self.memsys
+        if i.op is Op.TEX:
+            row, lines = memsys.texture_rows(rows, act, size)
+            charge = _walks(memsys.walk_texture, row, lines, len(rows), nb)
+        elif space is AddrSpace.CONST:
+            row, bases = memsys.const_rows(rows, act)
+            charge = _walks(memsys.walk_const, row, bases, len(rows), nb)
+        elif space is AddrSpace.SHARED:
+            charge = self._shared_charge(rows, act, nb)
+        else:
+            charge = self._global_charge(rows, act, size, i.op is Op.ST, nb)
 
         if i.op is Op.TEX:
             val = self.mem.load(addrs, i.dtype)
@@ -936,7 +818,7 @@ class GridRunner:
                 arr[:] = val
             else:
                 arr[active] = val
-            return rowdata
+            return charge
 
         if space is AddrSpace.SHARED:
             blk = self._blk if afull else self._blk[active]
@@ -955,7 +837,7 @@ class GridRunner:
                     arr[:] = out
                 else:
                     arr[active] = out
-            return rowdata
+            return charge
 
         if i.op is Op.ST:
             val = self._read(regs, i.srcs[1], pc, 1)
@@ -972,7 +854,48 @@ class GridRunner:
                 arr[:] = out
             else:
                 arr[active] = out
-        return rowdata
+        return charge
+
+    def _shared_charge(self, rows, act, nb: int) -> tuple:
+        """Bank replays of every warp row, pre-summed per block."""
+        width = rows.shape[1]
+        cnt = np.full(rows.shape[0], width) if act is None else act.sum(axis=1)
+        # rows without an active lane report one pass: zero extra
+        extra = (bank_replays(self.spec, rows, act) - 1).reshape(nb, -1)
+        extra = extra.sum(axis=1).tolist()
+        per_block = [
+            None if b is None else (b[3] - b[2], x)
+            for b, x in zip(_blocks(cnt, nb), extra)
+        ]
+        return self.memsys.charge_shared, per_block
+
+    def _global_charge(self, rows, act, size: int, is_store: bool, nb: int) -> tuple:
+        """Coalesce every warp row of a global access at once.
+
+        Cache-less devices get one charge pre-summed per block, its DRAM
+        regions listed in row order; cached ones one L1/L2 walk per
+        block over its rows' segments.
+        """
+        nrows = len(rows)
+        row, bases, widths = row_segments(self.spec, rows, act, size)
+        if self.spec.has_global_cache:
+            traffic = np.bincount(row, weights=widths, minlength=nrows)
+            return _walks(
+                self.memsys.walk_global, row, bases, nrows, nb, is_store,
+                traffic=traffic.astype(np.int64),
+            )
+        traffic = np.bincount(row // (nrows // nb), weights=widths, minlength=nb)
+        traffic = traffic.astype(np.int64).tolist()
+        regions = (bases >> 8).tolist()
+        blocks = _blocks(np.bincount(row, minlength=nrows), nb)
+        # every warp row with an active lane issues at least one segment,
+        # so a block's non-empty rows are its requests
+        return self.memsys.charge_dram, [
+            None
+            if b is None
+            else (b[3] - b[2], b[1] - b[0], tr, regions[b[0] : b[1]], is_store)
+            for b, tr in zip(blocks, traffic)
+        ]
 
     def _replay(self, visits: list, nb: int, cus: list) -> None:
         """Charge the recorded visits per block, in linear block order.
@@ -1001,39 +924,15 @@ class GridRunner:
                     comp += data * ngr
                     cyc[key] += comp + memc - c0
                 elif kind == "m":
-                    cost = 0.0
-                    rl = data.get(j)
-                    if rl is not None:
-                        for kc, aa, size in rl:
-                            if kc == "p":
-                                cost += memsys.access_global_segs(
-                                    cu, aa, size, False
-                                )
-                            elif kc == "P":
-                                cost += memsys.access_global_segs(
-                                    cu, aa, size, True
-                                )
-                            elif kc == "g":
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_global(cu, aa, ss, False)
-                            elif kc == "G":
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_global(cu, aa, ss, True)
-                            elif kc == "S":
-                                # pre-resolved shared access: aa is the
-                                # bank-replay factor (see record side)
-                                memsys.shared_accesses += 1
-                                memsys.shared_replays += aa - 1
-                                cost += t.shared_latency + (aa - 1) * 4.0
-                            elif kc == "s":
-                                cost += memsys.access_shared(cu, aa)
-                            elif kc == "c":
-                                cost += memsys.access_const(cu, aa)
-                            else:
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_texture(cu, aa, ss)
+                    # one memory-system call per block; the stateless
+                    # charges inside are per-block sums, exact because
+                    # their latencies are integers
+                    # (tests/sim/test_memsys.py::test_bulk_constants_are_integers)
+                    fn, per_block = data
+                    args = per_block[j]
                     c0 = comp + memc
-                    memc += cost
+                    if args is not None:
+                        memc += fn(cu, *args)
                     cyc[key] += comp + memc - c0
                 elif kind == "C":
                     c0 = comp + memc

@@ -1,11 +1,14 @@
 """The memory system: per-CU caches + DRAM cost accounting.
 
-For every executed warp memory instruction the interpreter calls one of
-the ``access_*`` methods with the active lanes' byte addresses.  The
-method updates cache state, returns the instruction's latency in core
-cycles, and accrues DRAM traffic.  Costs follow a simple serialization
-model: the slowest miss level sets the base latency and every extra
-transaction adds ``tx_cycles``.
+The interpreter charges each block's share of a warp memory instruction
+with one call: ``charge_*`` for stateless paths (shared banks, cache-less
+global), whose rows it has already resolved and summed, and ``walk_*``
+for cached paths, which touch cache state row by row in order.  The
+one-warp ``access_*`` methods route through the same code.  Each call
+updates cache state, returns the latency in core cycles, and accrues
+DRAM traffic.  Costs follow a simple serialization model: the slowest
+miss level sets the base latency and every extra transaction adds
+``tx_cycles``.
 """
 from __future__ import annotations
 
@@ -13,10 +16,14 @@ import numpy as np
 
 from ..arch.banks import bank_conflicts
 from ..arch.caches import LRUCache, null_cache
-from ..arch.coalesce import coalesce
+from ..arch.coalesce import coalesce, row_distinct, row_lines, segments_lines
 from ..arch.specs import DeviceSpec
 
 __all__ = ["MemorySystem", "AccessCost"]
+
+#: texture-cache line and constant-cache line, in bytes
+_TEX_LINE = 32
+_CONST_LINE = 64
 
 
 class MemorySystem:
@@ -31,10 +38,12 @@ class MemorySystem:
             self.l1 = [null_cache() for _ in range(n)]
             self.l2 = null_cache()
         self.tex = [
-            LRUCache(max(spec.tex_cache_bytes, 32), 32) for _ in range(n)
+            LRUCache(max(spec.tex_cache_bytes, _TEX_LINE), _TEX_LINE)
+            for _ in range(n)
         ]
         self.const = [
-            LRUCache(max(spec.const_cache_bytes, 64), 64) for _ in range(n)
+            LRUCache(max(spec.const_cache_bytes, _CONST_LINE), _CONST_LINE)
+            for _ in range(n)
         ]
         # traffic accounting (per CU)
         self.dram_bytes = np.zeros(n, dtype=np.float64)
@@ -50,14 +59,6 @@ class MemorySystem:
         self.shared_accesses = 0
         self.shared_replays = 0
         self.spill_bytes = 0.0
-        # address-pattern memos: kernels replay the same few warp access
-        # patterns thousands of times, and the pure geometry of a
-        # pattern (coalesced segments, touched lines, bank replays) is
-        # independent of cache state — memoize it by the address bytes
-        self._pat_global: dict = {}
-        self._pat_tex: dict = {}
-        self._pat_const: dict = {}
-        self._pat_shared: dict = {}
         # launch-memo journal of individual dram_bytes adds, or None.
         # dram_bytes is a float fold whose value is summation-order
         # sensitive; memo replay re-applies this exact add sequence.
@@ -69,13 +70,6 @@ class MemorySystem:
     def end_dram_log(self) -> list:
         log, self._dram_log = self._dram_log, None
         return log
-
-    _PAT_CAP = 1 << 15  # per-table entry cap (memos stop growing past it)
-
-    @staticmethod
-    def _pat_put(table: dict, key, value) -> None:
-        if len(table) < MemorySystem._PAT_CAP:
-            table[key] = value
 
     def cache_groups(self) -> dict:
         """Named cache banks for per-launch profiling.
@@ -132,147 +126,199 @@ class MemorySystem:
             "caches": caches,
         }
 
-    def _count_regions(self, bases) -> None:
-        for b in bases:
-            self.region_counts[int(b) >> 8] += 1
-
     # ------------------------------------------------------------------
     def access_global(
         self, cu: int, addrs: np.ndarray, sizes: np.ndarray, is_store: bool
     ) -> float:
-        """Plain global-space access (the ld.global/st.global path)."""
-        key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
-        hit = self._pat_global.get(key)
-        if hit is None:
-            segs, traffic = coalesce(self.spec, addrs, sizes)
-            hit = (segs.tolist(), traffic)
-            self._pat_put(self._pat_global, key, hit)
-        seg_list, traffic = hit
-        return self.access_global_segs(cu, seg_list, traffic, is_store)
-
-    def access_global_segs(
-        self, cu: int, seg_list: list, traffic: int, is_store: bool
-    ) -> float:
-        """Global access with the coalescing already resolved.
-
-        The interpreter pre-computes line segments for whole visits at
-        once (vectorized over every warp of a block batch); this entry
-        point applies the cache/DRAM state walk to one warp's segments.
-        """
-        t = self.spec.timing
-        nseg = max(len(seg_list), 1)
-        self.gmem_requests += 1
-        self.gmem_transactions += nseg
-        if is_store:
-            # write-through, fire-and-forget: traffic but little stall
-            self.dram_bytes[cu] += traffic
-            if self._dram_log is not None:
-                self._dram_log.append((cu, traffic))
-            if self.spec.has_global_cache:
-                for b in seg_list:
-                    self.l2.access(int(b))
-            else:
-                self._count_regions(seg_list)
-            return t.tx_cycles * nseg
+        """One warp's plain global-space access (ld.global/st.global)."""
+        segs, traffic = coalesce(self.spec, addrs, sizes)
+        segs = segs.tolist()
         if not self.spec.has_global_cache:
-            self.dram_bytes[cu] += traffic
-            if self._dram_log is not None:
-                self._dram_log.append((cu, traffic))
-            self._count_regions(seg_list)
-            self.l1[cu].stats.misses += nseg  # null path: all misses
-            return t.dram_latency + t.tx_cycles * (nseg - 1)
-        # Fermi-style: L1 -> L2 -> DRAM
-        worst = t.l1_hit
-        per_seg = traffic / nseg if nseg else 0.0
-        for b in seg_list:
-            b = int(b)
-            if self.l1[cu].access(b):
-                continue
-            if self.l2.access(b):
-                worst = max(worst, t.l2_hit)
-            else:
-                worst = max(worst, t.dram_latency)
-                self.dram_bytes[cu] += per_seg
-                if self._dram_log is not None:
-                    self._dram_log.append((cu, per_seg))
-                self.region_counts[b >> 8] += 1
-        return worst + t.tx_cycles * (nseg - 1)
+            return self.charge_dram(
+                cu, 1, max(len(segs), 1), traffic, [b >> 8 for b in segs], is_store
+            )
+        return self.walk_global(cu, segs, [len(segs)], [traffic], is_store)
 
-    def access_texture(self, cu: int, addrs: np.ndarray, sizes: np.ndarray) -> float:
-        """Texture-path read: small per-CU cache over global data.
+    def walk_global(
+        self, cu: int, segs: list, counts: list, traffic: list, is_store: bool
+    ) -> float:
+        """L1/L2 walk of consecutive warp rows on one CU, in row order.
 
-        This is what makes the irregular gathers of MD/SPMV look regular
-        (paper §IV-B.1) — reuse is captured close to the CU even on
-        GT200, which has no other global-read cache.
+        Row ``k`` owns the next ``counts[k]`` coalesced line bases of
+        ``segs`` and moves ``traffic[k]`` bytes.  Returns the per-row
+        costs summed in row order.
         """
         t = self.spec.timing
-        line = 32
-        key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
-        line_list = self._pat_tex.get(key)
-        if line_list is None:
-            first = addrs // line
-            last = (addrs + np.maximum(sizes, 1) - 1) // line
-            line_list = (np.union1d(first, last) * line).tolist()
-            self._pat_put(self._pat_tex, key, line_list)
-        nseg = max(len(line_list), 1)
-        worst = t.tex_hit
-        for b in line_list:
-            if not self.tex[cu].access(int(b)):
-                worst = max(worst, t.dram_latency)
-                self.dram_bytes[cu] += line
-                if self._dram_log is not None:
-                    self._dram_log.append((cu, line))
-                self.region_counts[int(b) >> 8] += 1
-        # the texture pipeline is built for many small scattered
-        # fetches: extra segments are much cheaper than on the L1 path
-        return worst + t.tx_cycles * 0.2 * (nseg - 1)
-
-    def access_const(self, cu: int, addrs: np.ndarray) -> float:
-        """Constant-cache read: broadcast when all lanes agree.
-
-        Distinct addresses serialize — the defining behaviour of the
-        constant path on every CUDA-class device.
-        """
-        t = self.spec.timing
-        key = (addrs.dtype.char, addrs.tobytes())
-        bases = self._pat_const.get(key)
-        if bases is None:
-            # one entry per *distinct address* in sorted order (two
-            # addresses in the same 64B line still serialize)
-            bases = [(int(a) // 64) * 64 for a in np.unique(addrs).tolist()]
-            self._pat_put(self._pat_const, key, bases)
+        l1 = self.l1[cu]
+        l2 = self.l2
+        dram = self.dram_bytes
+        log = self._dram_log
+        regions = self.region_counts
         cost = 0.0
-        for base in bases:
-            if self.const[cu].access(base):
-                cost += t.const_hit
-            else:
-                cost += t.dram_latency
-                self.dram_bytes[cu] += 64
-                if self._dram_log is not None:
-                    self._dram_log.append((cu, 64))
-                self.region_counts[base >> 8] += 1
+        pos = 0
+        for c, tr in zip(counts, traffic):
+            row = segs[pos : pos + c]
+            pos += c
+            nseg = max(c, 1)
+            self.gmem_requests += 1
+            self.gmem_transactions += nseg
+            if is_store:
+                # write-through, fire-and-forget: traffic but little stall
+                dram[cu] += tr
+                if log is not None:
+                    log.append((cu, tr))
+                for b in row:
+                    l2.access(b)
+                cost += t.tx_cycles * nseg
+                continue
+            worst = t.l1_hit
+            per_seg = tr / nseg
+            for b in row:
+                if l1.access(b):
+                    continue
+                if l2.access(b):
+                    worst = max(worst, t.l2_hit)
+                else:
+                    worst = max(worst, t.dram_latency)
+                    dram[cu] += per_seg
+                    if log is not None:
+                        log.append((cu, per_seg))
+                    regions[b >> 8] += 1
+            cost += worst + t.tx_cycles * (nseg - 1)
         return cost
 
-    def shared_replay_factor(self, addrs: np.ndarray) -> int:
-        """Memoized :func:`~repro.arch.banks.bank_conflicts`."""
-        key = (addrs.dtype.char, addrs.tobytes())
-        replays = self._pat_shared.get(key)
-        if replays is None:
-            replays = bank_conflicts(self.spec, addrs)
-            self._pat_put(self._pat_shared, key, replays)
-        return replays
+    def texture_rows(self, rows: np.ndarray, active, size: int) -> tuple:
+        """The 32B texture lines of many warp rows: ``(row, lines)``."""
+        return row_lines(rows, active, size, _TEX_LINE)
 
-    def access_shared(self, cu: int, addrs: np.ndarray) -> float:
-        """Banked shared/local-memory access."""
+    def access_texture(self, cu: int, addrs: np.ndarray, sizes: np.ndarray) -> float:
+        """One warp's texture fetch (see :meth:`walk_texture`)."""
+        lines, _ = segments_lines(addrs, sizes, _TEX_LINE)
+        return self.walk_texture(cu, lines.tolist(), [lines.size])
+
+    def walk_texture(self, cu: int, lines: list, counts: list) -> float:
+        """Texture-path reads of consecutive warp rows, in row order.
+
+        A small per-CU cache over global data: this is what makes the
+        irregular gathers of MD/SPMV look regular (paper §IV-B.1) —
+        reuse is captured close to the CU even on GT200, which has no
+        other global-read cache.  Row ``k`` owns the next ``counts[k]``
+        line bases of ``lines``.
+        """
         t = self.spec.timing
-        self.shared_accesses += 1
+        tex = self.tex[cu]
+        log = self._dram_log
+        cost = 0.0
+        pos = 0
+        for c in counts:
+            worst = t.tex_hit
+            for b in lines[pos : pos + c]:
+                if not tex.access(b):
+                    worst = max(worst, t.dram_latency)
+                    self.dram_bytes[cu] += _TEX_LINE
+                    if log is not None:
+                        log.append((cu, _TEX_LINE))
+                    self.region_counts[b >> 8] += 1
+            pos += c
+            # the texture pipeline is built for many small scattered
+            # fetches: extra segments are much cheaper than on the L1 path
+            cost += worst + t.tx_cycles * 0.2 * (max(c, 1) - 1)
+        return cost
+
+    def const_rows(self, rows: np.ndarray, active) -> tuple:
+        """The constant-cache lookups of many warp rows: ``(row, bases)``.
+
+        One lookup per *distinct address*, ascending — two addresses in
+        the same 64B line still serialize.
+        """
+        row, addrs = row_distinct(rows, active)
+        return row, addrs // _CONST_LINE * _CONST_LINE
+
+    def access_const(self, cu: int, addrs: np.ndarray) -> float:
+        """One warp's constant read (see :meth:`walk_const`)."""
+        bases = np.unique(addrs) // _CONST_LINE * _CONST_LINE
+        return self.walk_const(cu, bases.tolist(), [bases.size])
+
+    def walk_const(self, cu: int, bases: list, counts: list) -> float:
+        """Constant-cache reads of consecutive warp rows, in row order.
+
+        Broadcast when all lanes agree; distinct addresses serialize —
+        the defining behaviour of the constant path on every CUDA-class
+        device.  Row ``k`` owns the next ``counts[k]`` entries of
+        ``bases``.
+        """
+        t = self.spec.timing
+        const = self.const[cu]
+        log = self._dram_log
+        cost = 0.0
+        pos = 0
+        for c in counts:
+            row_cost = 0.0
+            for base in bases[pos : pos + c]:
+                if const.access(base):
+                    row_cost += t.const_hit
+                else:
+                    row_cost += t.dram_latency
+                    self.dram_bytes[cu] += _CONST_LINE
+                    if log is not None:
+                        log.append((cu, _CONST_LINE))
+                    self.region_counts[base >> 8] += 1
+            pos += c
+            cost += row_cost
+        return cost
+
+    def charge_dram(
+        self,
+        cu: int,
+        requests: int,
+        nseg: int,
+        traffic: int,
+        regions: list,
+        is_store: bool,
+    ) -> float:
+        """Charge ``requests`` warp accesses on a cache-less global path.
+
+        ``nseg`` transactions move ``traffic`` bytes straight to or from
+        DRAM; ``regions`` lists each transaction's 256B region in issue
+        order.  Every term is stateless, so one call may stand for all of
+        a block's warp rows of one instruction: with integer-valued
+        ``dram_latency``/``tx_cycles`` the returned cost equals the sum
+        of the per-row costs exactly.
+        """
+        t = self.spec.timing
+        self.gmem_requests += requests
+        self.gmem_transactions += nseg
+        self.dram_bytes[cu] += traffic
+        if self._dram_log is not None:
+            self._dram_log.append((cu, traffic))
+        # Counter.update over a list counts element by element, so keys
+        # enter region_counts in exactly the per-transaction order
+        self.region_counts.update(regions)
+        if is_store:
+            # write-through, fire-and-forget: traffic but little stall
+            return t.tx_cycles * nseg
+        self.l1[cu].stats.misses += nseg  # null path: all misses
+        return t.dram_latency * requests + t.tx_cycles * (nseg - requests)
+
+    def charge_shared(self, cu: int, requests: int, extra: int) -> float:
+        """Charge ``requests`` banked shared/local-memory warp accesses.
+
+        ``extra`` is their summed bank replays beyond the first pass
+        (:func:`~repro.arch.banks.bank_replays` minus one per row).  Like
+        :meth:`charge_dram` one call may stand for a whole block's rows.
+        """
+        t = self.spec.timing
+        self.shared_accesses += requests
         if self.spec.local_mem_is_plain_memory:
             # CPU device: "local" memory is ordinary cached memory — the
             # staging copy is pure overhead (paper §V, TranP on Intel920)
-            return t.shared_latency
-        replays = self.shared_replay_factor(addrs)
-        self.shared_replays += replays - 1
-        return t.shared_latency + (replays - 1) * 4.0
+            return t.shared_latency * requests
+        self.shared_replays += extra
+        return t.shared_latency * requests + extra * 4.0
+
+    def access_shared(self, cu: int, addrs: np.ndarray) -> float:
+        """One warp's banked shared/local-memory access."""
+        return self.charge_shared(cu, 1, bank_conflicts(self.spec, addrs) - 1)
 
     def access_local(self, cu: int, nbytes_per_thread: int, width: int) -> float:
         """Register-spill traffic (``ld.local``/``st.local``).

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import CELLBE, GTX280, GTX480, INTEL920
+from repro.arch import ALL_DEVICES, CELLBE, GTX280, GTX480, INTEL920
 from repro.sim.memsys import MemorySystem
 
 
@@ -132,3 +132,16 @@ class TestLocalSpillPath:
         c = ms.access_local(0, 4, 4)
         assert ms.dram_bytes[0] == before  # cached
         assert c == GTX480.timing.l1_hit
+
+
+@pytest.mark.parametrize("spec", ALL_DEVICES.values(), ids=lambda s: s.name)
+def test_bulk_constants_are_integers(spec):
+    """The interpreter charges shared and cache-less global accesses once
+    per block (``charge_shared``/``charge_dram`` with many rows).  That
+    sum equals the per-row float fold only because every latency in it
+    is integer-valued; a fractional constant would move the timing model
+    by an ulp, so it must fail here first."""
+    t = spec.timing
+    for name in ("dram_latency", "tx_cycles", "shared_latency"):
+        value = getattr(t, name)
+        assert float(value).is_integer(), f"{spec.name}.{name} = {value}"
