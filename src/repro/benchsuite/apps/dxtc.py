@@ -126,41 +126,26 @@ def _kernel(dialect):
 
 def dxtc_reference(r, g, b, w, h):
     bw, bh = w // 4, h // 4
-    n = bw * bh
-    out_idx = np.zeros(n, dtype=np.uint32)
-    out_ep = np.zeros(2 * n, dtype=np.uint32)
-    lw = np.array(_LW, dtype=np.float32)
-    for blk in range(n):
-        bx, by = blk % bw, blk // bw
-        pix = np.zeros((PIX, 3), dtype=np.float32)
-        for p in range(PIX):
-            px, py = bx * 4 + p % 4, by * 4 + p // 4
-            pix[p] = (r[py, px], g[py, px], b[py, px])
-        lum = pix @ lw
-        # strict-< / strict-> scans, matching the kernel's update order
-        imin = imax = 0
-        lmin, lmax = np.float32(1e30), np.float32(-1e30)
-        for p in range(PIX):
-            if lum[p] < lmin:
-                lmin, imin = lum[p], p
-            if lum[p] > lmax:
-                lmax, imax = lum[p], p
-        c0, c1 = pix[imax], pix[imin]
-        third = np.float32(1.0 / 3.0)
-        pal = np.stack([c0, c1, (c0 * 2 + c1) * third, (c0 + c1 * 2) * third])
-        indices = np.uint32(0)
-        for p in range(PIX):
-            d = ((pix[p] - pal) ** 2).sum(axis=1)
-            best, bidx = np.float32(1e30), 0
-            for ci in range(4):
-                if d[ci] < best:
-                    best, bidx = d[ci], ci
-            indices |= np.uint32(bidx) << np.uint32(2 * p)
-        out_idx[blk] = indices
-        q = lambda c: np.uint32(int(c))
-        out_ep[2 * blk] = (q(c0[0]) << 16) | (q(c0[1]) << 8) | q(c0[2])
-        out_ep[2 * blk + 1] = (q(c1[0]) << 16) | (q(c1[1]) << 8) | q(c1[2])
-    return out_idx, out_ep
+    # (blocks, texels, channels), texel p of a block at (p % 4, p // 4)
+    pix = np.stack(
+        [c.reshape(bh, 4, bw, 4).swapaxes(1, 2).reshape(-1, PIX) for c in (r, g, b)],
+        axis=-1,
+    )
+    lum = pix @ np.array(_LW, dtype=np.float32)
+    # argmin/argmax keep the first extreme, as the kernel's strict
+    # < / > scans do; likewise for the nearest palette entry below
+    rows = np.arange(len(pix))
+    c0, c1 = pix[rows, lum.argmax(axis=1)], pix[rows, lum.argmin(axis=1)]
+    third = np.float32(1.0 / 3.0)
+    pal = np.stack([c0, c1, (c0 * 2 + c1) * third, (c0 + c1 * 2) * third], axis=1)
+    d = ((pix[:, :, None, :] - pal[:, None, :, :]) ** 2).sum(axis=-1)
+    bidx = d.argmin(axis=-1).astype(np.uint32)
+    shifts = np.arange(0, 2 * PIX, 2, dtype=np.uint32)
+    out_idx = np.bitwise_or.reduce(bidx << shifts, axis=1)
+    # endpoints quantized to 8-bit channels, packed 0x00RRGGBB each
+    ends = np.stack([c0, c1], axis=1).astype(np.uint32)
+    out_ep = np.bitwise_or.reduce(ends << np.uint32([16, 8, 0]), axis=-1)
+    return out_idx, out_ep.reshape(-1)
 
 
 class DXTC(Benchmark):

@@ -2,6 +2,8 @@
 
 Every generator takes an explicit seed so benchmark runs are exactly
 reproducible (the virtual-clock simulator is deterministic end to end).
+The Generator calls, their arguments and their order are the input
+contract: array work may be batched around the draws, never reorder them.
 """
 from __future__ import annotations
 
@@ -91,21 +93,20 @@ def banded_csr(
     Returns ``(rowptr s32[n+1], cols s32[m], vals f32[m])``.
     """
     g = rng(seed)
-    rowptr = np.zeros(nrows + 1, dtype=np.int32)
-    cols: list[int] = []
-    vals: list[float] = []
+    cols, vals = [], []
     for r in range(nrows):
         lo = max(0, r - band)
         hi = min(nrows - 1, r + band)
         k = min(nnz_per_row, hi - lo + 1)
-        cs = np.sort(g.choice(np.arange(lo, hi + 1), size=k, replace=False))
-        cols.extend(int(c) for c in cs)
-        vals.extend(float(v) for v in g.normal(0, 1, k))
-        rowptr[r + 1] = len(cols)
+        # choice() draws from the population size alone, so an int
+        # population gives the same draws as the arange it stands for
+        cols.append(np.sort(lo + g.choice(hi - lo + 1, size=k, replace=False)))
+        vals.append(g.normal(0, 1, k))
+    rowptr = np.cumsum([0] + [c.size for c in cols]).astype(np.int32)
     return (
         rowptr,
-        np.asarray(cols, dtype=np.int32),
-        np.asarray(vals, dtype=np.float32),
+        np.concatenate(cols).astype(np.int32),
+        np.concatenate(vals).astype(np.float32),
     )
 
 
@@ -132,7 +133,7 @@ def neighbor_lists(n: int, k: int, seed: int = 0) -> np.ndarray:
     for i in range(n):
         lo = max(0, i - k)
         hi = min(n, i + k + 1)
-        cand = np.setdiff1d(np.arange(lo, hi), [i])
+        cand = np.concatenate((np.arange(lo, i), np.arange(i + 1, hi)))
         if cand.size < k:
             cand = np.concatenate([cand, g.integers(0, n, k - cand.size)])
         idx[i] = g.choice(cand, size=k, replace=False)
