@@ -128,9 +128,9 @@ class DeviceSpec:
 
         nvcc-style launch bounds: the budget respects both the hard
         per-thread ceiling and the register file at the kernel's
-        intended block size.  Shared by both runtimes *and* by the
-        sweep engine's ABT preflight guard, so a preflight verdict is
-        computed against exactly the registers the real build gets.
+        intended block size.  Shared by both runtimes *and* by
+        ``repro.exec.lifecycle.preflight_unit``, so a preflight verdict
+        is computed against exactly the registers the real build gets.
         """
         return min(
             self.max_regs_per_thread,

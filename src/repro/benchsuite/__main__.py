@@ -10,10 +10,11 @@ processes, and results are memoized in the content-addressed cache
 
 The run is crash-safe: a journal under the cache dir records every
 unit start/finish, SIGINT/SIGTERM drain gracefully (exit 75 =
-resumable), and ``--resume`` reruns only what the interrupted run did
-not finish.  ``--results-json`` writes a canonical, wall-clock-free
-result document that is byte-identical however the results were
-obtained (cold, warm, parallel, or interrupted-then-resumed).
+resumable, when the drain left units undone), and ``--resume`` reruns
+only what the interrupted run did not finish.  ``--results-json``
+writes a canonical, wall-clock-free result document that is
+byte-identical however the results were obtained (cold, warm,
+parallel, or interrupted-then-resumed).
 """
 from __future__ import annotations
 
@@ -100,8 +101,7 @@ def main(argv=None) -> int:
     executor = rexec.SweepExecutor(
         jobs=args.jobs, cache=cache, timeout=args.timeout,
         retries=args.retries, progress=telemetry.progress_mode(args),
-        journal=journal, resumed=replay,
-        preflight=not args.no_preflight, grace=args.grace,
+        journal=journal, resumed=replay, grace=args.grace,
     )
     if replay is not None and executor.cache is not None:
         executor.cache.purge_tmp()
@@ -115,9 +115,10 @@ def main(argv=None) -> int:
           f"{'kernel':>10s} {'status':6s}")
     print("-" * 66)
     rc = 0
+    stranded = 0  # units or variant checks a drain left undone
     results = []
     with rexec.use_executor(executor), tspans.use_tracer(tr), \
-            lifecycle.GracefulShutdown(executor, grace=args.grace) as shutdown:
+            lifecycle.GracefulShutdown(executor, grace=args.grace):
         executor.prewarm(units)
         for unit in units:
             try:
@@ -134,6 +135,7 @@ def main(argv=None) -> int:
             except SweepInterrupted:
                 # draining: this unit is cold and stays that way;
                 # --resume will simulate it
+                stranded += 1
                 print(
                     f"{unit.benchmark:10s} {unit.api:7s} {'-':>12s} {'-':14s} "
                     f"{'-':>10s} {'INT':6s}"
@@ -156,14 +158,11 @@ def main(argv=None) -> int:
         if args.variants or args.check_variants:
             for unit in units:
                 try:
-                    checks.extend(
-                        rexec.check_unit_variants(
-                            executor, unit, preflight=not args.no_preflight
-                        )
-                    )
+                    checks.extend(rexec.check_unit_variants(executor, unit))
                 except UnitFailed:
                     rc = 1  # baseline itself died; nothing to compare against
                 except SweepInterrupted:
+                    stranded += 1
                     break
             if checks:
                 bad = sum(c.violation for c in checks)
@@ -175,7 +174,8 @@ def main(argv=None) -> int:
             from ..prof.report import render_failures
 
             print(render_failures(executor.stats))
-    interrupted = shutdown.interrupted or executor.draining
+    # a drain that stranded nothing ends like a clean run
+    interrupted = stranded > 0
     state, code = lifecycle.run_outcome(interrupted, rc)
     if journal is not None:
         journal.close(state)

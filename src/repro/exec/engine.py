@@ -42,9 +42,10 @@ Crash-safety (see :mod:`repro.exec.lifecycle` / :mod:`repro.exec.journal`):
   :class:`~repro.exec.lifecycle.GracefulShutdown`) stops admission:
   in-flight units get a bounded grace period, everything else is left
   for a ``--resume`` rerun;
-* an ABT *preflight guard* classifies cold units that would abort at
-  enqueue (Table VI "ABT") before any launch, via the same admission
-  function the simulator applies;
+* a unit that aborts at enqueue (Table VI "ABT") is reported by the
+  launch that decided it: every :class:`UnitRecord` carries its
+  result's failure tag, whether the unit ran in a pool worker, ran
+  sequentially or was served from cache;
 * repeated broken-pool incidents demote the run to sequential
   execution (*degraded mode*) instead of churning through doomed pools.
 """
@@ -127,6 +128,8 @@ class UnitRecord:
     sim_seconds: float  # simulation seconds stored with the result
     cached: bool
     source: str  # "mem" | "disk" | "run"
+    #: the result's Table VI failure tag ("ABT", "FL", ...), None if ok
+    failure: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -150,11 +153,6 @@ class SweepStats:
         self.failures: list[FailedUnit] = []
         #: corrupt cache entries moved aside while serving this sweep
         self.quarantined = 0
-        #: preflight verdicts for units predicted to abort at enqueue
-        #: (Table VI "ABT"), as dicts; empty when the guard is off
-        self.preflight: list = []
-        #: units the preflight guard examined
-        self.preflight_checked = 0
         #: set when degraded mode kicked in: {"incidents": n, "reason": s}
         self.demoted: Optional[dict] = None
         #: set when this run resumed a journal: the replay's summary()
@@ -163,15 +161,15 @@ class SweepStats:
         self.resumed_hits = 0
 
     def record(
-        self, unit: WorkUnit, digest: str, seconds: float,
-        sim_seconds: float, source: str,
+        self, unit: WorkUnit, digest: str, seconds: float, payload: dict,
+        source: str,
     ) -> None:
         metrics.counter(f"exec.serve.{source}").inc()
         self.records.append(
             UnitRecord(
                 label=unit.label(), digest=digest, seconds=seconds,
-                sim_seconds=sim_seconds, cached=source != "run",
-                source=source,
+                sim_seconds=payload["seconds"], cached=source != "run",
+                source=source, failure=payload["bench"]["failure"],
             )
         )
 
@@ -214,8 +212,6 @@ class SweepStats:
             "quarantined": self.quarantined,
             "sim_seconds": self.sim_seconds,
             "cache_serve_seconds": self.cache_serve_seconds,
-            "preflight_checked": self.preflight_checked,
-            "preflight_abt": self.preflight,
             "demoted": self.demoted,
             "resumed": self.resumed,
             "resumed_hits": self.resumed_hits,
@@ -358,7 +354,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache=None,
-        memoize: bool = True,
         timeout: Optional[float] = None,
         retries: int = 2,
         backoff: float = 0.05,
@@ -366,7 +361,6 @@ class SweepExecutor:
         progress: bool = True,
         journal=None,
         resumed=None,
-        preflight: bool = True,
         grace: float = 30.0,
         demote_after: int = 3,
         adaptive_jobs: bool = False,
@@ -379,7 +373,6 @@ class SweepExecutor:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache: Optional[ResultCache] = cache
-        self.memoize = memoize
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, float(backoff))
@@ -407,8 +400,6 @@ class SweepExecutor:
         self._resumed_done: set = set(resumed.completed) if resumed else set()
         if resumed is not None:
             self.stats.resumed = resumed.summary()
-        #: run the ABT preflight guard over cold units before launching
-        self.preflight = bool(preflight)
         self.grace = max(0.0, float(grace))
         #: broken-pool incidents before demoting to sequential execution
         self.demote_after = max(1, int(demote_after))
@@ -528,14 +519,12 @@ class SweepExecutor:
         if self.cache is not None:
             payload = self.cache.get(digest)
             if payload is not None:
-                if self.memoize:
-                    self._mem[digest] = payload
+                self._mem[digest] = payload
                 return payload, "disk"
         return None, "run"
 
     def _store(self, digest: str, payload: dict, label: str = "") -> None:
-        if self.memoize:
-            self._mem[digest] = payload
+        self._mem[digest] = payload
         if self.cache is not None:
             self.cache.put(digest, payload)
             if label and self.faults is not None and self.faults.corrupts(label):
@@ -610,7 +599,7 @@ class SweepExecutor:
             if serve is not None:
                 serve.attrs["source"] = source
         self.stats.record(
-            unit, digest, time.perf_counter() - t0, payload["seconds"], source
+            unit, digest, time.perf_counter() - t0, payload, source
         )
         return result_from_json(payload, cached=source != "run")
 
@@ -715,8 +704,6 @@ class SweepExecutor:
             self.journal.record_plan(len(seen), len(todo))
         if not todo:
             return 0
-        if self.preflight:
-            self._preflight(todo)
         prog = self._progress_line = ProgressLine(
             len(seen), label="sweep", mode=self.progress
         ) if self.progress != "off" else None
@@ -748,7 +735,7 @@ class SweepExecutor:
                             prog.tick()
                         continue
                     wall = time.perf_counter() - t0
-                    self.stats.record(u, d, wall, payload["seconds"], "run")
+                    self.stats.record(u, d, wall, payload, "run")
                     if prog is not None:
                         prog.tick(seconds=wall)
         finally:
@@ -756,36 +743,6 @@ class SweepExecutor:
                 prog.close()
             self._progress_line = None
         return len(todo)
-
-    def _preflight(self, todo: dict) -> None:
-        """Classify cold units that would abort at enqueue, before launch.
-
-        Advisory by design: a would-ABT unit still executes (its cached
-        BenchResult carries the Table VI failure tag either way), so
-        results are identical with the guard on or off — the guard's
-        value is the *early*, pre-launch report and the structured
-        verdicts in ``stats.preflight``.
-        """
-        from .lifecycle import preflight_unit
-
-        with tspans.span("sweep.preflight", "engine", units=len(todo)):
-            for u in todo.values():
-                v = preflight_unit(u)
-                self.stats.preflight_checked += 1
-                metrics.counter("exec.preflight.checked").inc()
-                if not v.would_abt:
-                    continue
-                self.stats.preflight.append(v.as_dict())
-                tspans.event(
-                    "preflight.abt", "engine", label=v.label, code=v.code,
-                    kernel=v.kernel,
-                )
-                log.info(
-                    "preflight.abt",
-                    f"{v.label}: kernel {v.kernel!r} would abort at enqueue "
-                    f"({v.code}: {v.registers} regs, {v.shared_bytes} B "
-                    f"local, {v.threads} threads)",
-                )
 
     # -- parallel fan-out --------------------------------------------------
     def _prewarm_parallel(self, todo: dict, jobs: int) -> None:
@@ -1003,9 +960,7 @@ class SweepExecutor:
             metrics.histogram("exec.unit_sim_s").observe(payload["seconds"])
             self._store(d, payload, u.label())
             self._jdone(d)
-            self.stats.record(
-                u, d, payload["seconds"], payload["seconds"], "run"
-            )
+            self.stats.record(u, d, payload["seconds"], payload, "run")
             return
         err = out["err"]
         if err["kind"] == FailureKind.TRANSIENT.value and attempts[d] <= self.retries:

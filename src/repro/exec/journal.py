@@ -20,7 +20,9 @@ same thread drives the periodic metrics-snapshot flush the OpenMetrics
 exporter reads.
 
 Replay (:func:`load` -> :class:`JournalReplay`) classifies every digest
-the journal mentions:
+the journal mentions.  :func:`fold` is the one reducer behind it: the
+resume path and :mod:`repro.obs`'s live status both fold records with
+it, so the two can never disagree about a unit:
 
 * **completed** — a ``done`` record exists; the atomic cache entry for
   the digest is trusted and the unit is *not* re-simulated on resume;
@@ -48,6 +50,7 @@ __all__ = [
     "RunJournal",
     "JournalReplay",
     "journal_dir",
+    "fold",
     "load",
     "resolve",
     "latest_resumable",
@@ -81,6 +84,8 @@ class JournalReplay:
     completed: set = dataclasses.field(default_factory=set)
     #: digest -> kind for terminally failed units
     failed: dict = dataclasses.field(default_factory=dict)
+    #: the failed digests whose fault was planted by ``repro.faults``
+    injected: set = dataclasses.field(default_factory=set)
     #: digests with a ``start`` but neither ``done`` nor ``fail``
     in_flight: set = dataclasses.field(default_factory=set)
     #: digest -> label, for human-readable resume reporting
@@ -235,6 +240,46 @@ class RunJournal:
 
 
 # -- replay ---------------------------------------------------------------
+def fold(rep: JournalReplay, rec: dict) -> None:
+    """Fold one journal record into ``rep``, in journal order.
+
+    A unit is in flight from its ``start`` until a ``done`` or ``fail``
+    settles it; a settled unit never becomes in-flight again, and a
+    ``done`` overrides an earlier ``fail``.  Record types this reducer
+    does not know (``plan``, ``hb``) are left to the caller.
+    """
+    t = rec.get("t")
+    if t == "run":
+        rep.run_id = rec.get("run_id", rep.run_id)
+        rep.command = rec.get("command", "")
+        rep.resumed_from = rec.get("resumed_from")
+        rep.state = "running"
+    elif t == "start":
+        d = rec["d"]
+        if rec.get("label"):
+            rep.labels[d] = rec["label"]
+        if d not in rep.completed and d not in rep.failed:
+            rep.in_flight.add(d)
+    elif t == "done":
+        d = rec["d"]
+        rep.completed.add(d)
+        rep.failed.pop(d, None)
+        rep.injected.discard(d)
+        rep.in_flight.discard(d)
+    elif t == "fail":
+        d = rec["d"]
+        rep.failed[d] = rec.get("kind", "ERROR")
+        if rec.get("injected"):
+            rep.injected.add(d)
+        else:
+            rep.injected.discard(d)
+        rep.in_flight.discard(d)
+    elif t == "demote":
+        rep.demoted = True
+    elif t == "state":
+        rep.state = rec.get("state", rep.state)
+
+
 def load(path) -> JournalReplay:
     """Replay one journal file into a :class:`JournalReplay`.
 
@@ -243,31 +288,12 @@ def load(path) -> JournalReplay:
     """
     path = Path(path)
     rep = JournalReplay(run_id=path.stem, path=path)
-    started: set = set()
     try:
         records, rep.torn_lines = durable.replay(path)
     except OSError as e:
         raise FileNotFoundError(f"no journal at {path}: {e}") from e
     for rec in records:
-        t = rec.get("t")
-        if t == "run":
-            rep.run_id = rec.get("run_id", rep.run_id)
-            rep.command = rec.get("command", "")
-            rep.resumed_from = rec.get("resumed_from")
-        elif t == "start":
-            started.add(rec["d"])
-            if rec.get("label"):
-                rep.labels[rec["d"]] = rec["label"]
-        elif t == "done":
-            rep.completed.add(rec["d"])
-            rep.failed.pop(rec["d"], None)
-        elif t == "fail":
-            rep.failed[rec["d"]] = rec.get("kind", "ERROR")
-        elif t == "demote":
-            rep.demoted = True
-        elif t == "state":
-            rep.state = rec.get("state", rep.state)
-    rep.in_flight = started - rep.completed - set(rep.failed)
+        fold(rep, rec)
     return rep
 
 

@@ -9,18 +9,22 @@ Three robustness pieces that wrap the engine rather than living in it:
   literally the contract — rerun with ``--resume``).
 * **Graceful shutdown** — :class:`GracefulShutdown` installs
   SIGINT/SIGTERM handlers that *drain* instead of dying: the engine
-  stops admitting work, in-flight units get a bounded grace period, the
-  journal records ``interrupted``, and the process exits 75.  A second
-  signal skips the grace period and stops hard.
-* **ABT preflight** — :func:`preflight_unit` predicts, before any
-  launch, whether a unit will abort at enqueue for lack of device
+  stops admitting work, in-flight units get a bounded grace period, and
+  when the drain left work undone the journal records ``interrupted``
+  and the process exits 75 (a drain that stranded nothing ends like a
+  clean run, as the daemon's ``stop()`` does).  A second signal skips
+  the grace period and stops hard.
+* **ABT preflight** — :func:`preflight_unit` predicts, without
+  launching, whether a unit will abort at enqueue for lack of device
   resources (Table VI's "ABT" rows).  It compiles the unit's kernels
   through the same front ends with the same
   :meth:`~repro.arch.specs.DeviceSpec.launch_reg_budget` the runtimes
   use, then asks :func:`repro.sim.device.admission_error` — the same
   pure function the simulator's launch path calls — so a verdict agrees
   with the eventual launch outcome by construction, not by a parallel
-  reimplementation of the rules.
+  reimplementation of the rules.  Sweeps do not call it: a swept
+  unit's own launch decides its ABT row.  The variants gate uses it to
+  skip rewrites a device cannot admit.
 """
 from __future__ import annotations
 
@@ -151,10 +155,8 @@ def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
     Compiles each of the unit's kernels exactly as the host API would —
     same front end, same per-thread register budget from
     ``spec.launch_reg_budget(wg_hint)`` — and feeds the compiled
-    resource usage to the simulator's own ``admission_error``.  The
-    verdict is advisory: the engine still executes the unit, so cached
-    results, Table VI, and rendered reports are byte-identical with the
-    guard on or off.
+    resource usage to the simulator's own ``admission_error``, so the
+    verdict is the one the unit's launch would reach.
     """
     spec = spec if spec is not None else unit.spec
     label = unit.label()
@@ -198,12 +200,6 @@ def add_lifecycle_arguments(parser) -> None:
         metavar="RUN_ID",
         help="resume an interrupted run from its journal: a run id, or "
         "bare --resume for the latest resumable journal in the cache dir",
-    )
-    g.add_argument(
-        "--no-preflight",
-        action="store_true",
-        help="skip the ABT preflight guard (units predicted to abort at "
-        "enqueue are normally reported before any launch)",
     )
     g.add_argument(
         "--grace",
@@ -255,7 +251,5 @@ def lifecycle_summary(
     }
     if executor is not None:
         out["demoted"] = executor.stats.demoted
-        out["preflight_checked"] = executor.stats.preflight_checked
-        out["preflight_abt"] = len(executor.stats.preflight)
         out["resumed_hits"] = executor.stats.resumed_hits
     return out

@@ -11,16 +11,21 @@ Every unit has a content-addressed :func:`unit_digest` over everything
 that determines its result: the rendered kernel sources (per dialect,
 after option/define resolution), the full :class:`DeviceSpec` including
 calibration constants, the launch configuration (problem-size
-parameters, resolved options, build defines), and the ``repro`` package
-version.  Any change to any of these invalidates exactly the affected
-units; nothing else does.
+parameters, resolved options, build defines), the ``repro`` package
+version, and a digest of the source of every package that decides what
+a unit computes (:func:`code_digest`).  Editing the simulator, a
+runtime or a front end therefore invalidates cached results without a
+version bump; editing the engine, the daemon or the observability
+layers does not.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
+from pathlib import Path
 from typing import Mapping, Optional
 
 from .._version import __version__
@@ -37,6 +42,7 @@ __all__ = [
     "unit_build",
     "unit_fingerprint",
     "unit_digest",
+    "code_digest",
     "execute",
 ]
 
@@ -114,7 +120,7 @@ def unit_build(unit: WorkUnit, spec: Optional[DeviceSpec] = None) -> tuple:
 
     Returns ``(bench, dialect, params, opts, defines)`` — the single
     resolution path shared by :func:`unit_fingerprint` (content
-    addressing) and the lifecycle ABT preflight guard (which compiles
+    addressing) and the lifecycle ABT preflight (which compiles
     the same kernels the host would), so the two can never drift.
     """
     spec = spec if spec is not None else unit.spec
@@ -124,6 +130,33 @@ def unit_build(unit: WorkUnit, spec: Optional[DeviceSpec] = None) -> tuple:
     opts = bench.options_for(dialect, dict(unit.options))
     defines = {"WARP_SIZE": spec.warp_width}
     return bench, dialect, params, opts, defines
+
+
+#: the installed ``repro`` package whose model sources key the cache
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: what a unit computes is decided by these packages (plus errors.py);
+#: the engine, daemon and observability layers only move results around
+MODEL_PACKAGES = (
+    "arch", "benchsuite", "compiler", "kir", "ptx", "prof", "runtime", "sim",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest(root: Path) -> str:
+    """sha256 over the relative paths and bytes of the model's source.
+
+    Computed once per process, on the first digest a sweep asks for,
+    so importing the package stays as cheap as before.
+    """
+    files = [p for pkg in MODEL_PACKAGES for p in (root / pkg).rglob("*.py")]
+    files.append(root / "errors.py")
+    h = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(root).as_posix(), p) for p in files):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def unit_fingerprint(
@@ -155,6 +188,7 @@ def unit_fingerprint(
         "defines": _plain(defines),
         "kernels": sources,
         "version": version if version is not None else __version__,
+        "code": code_digest(PACKAGE_ROOT),
     }
 
 

@@ -3,7 +3,7 @@ preservation harness.
 
 A variant is an ordinary :class:`WorkUnit` whose options carry a
 ``rewrite`` token (see :mod:`repro.kir.rewrite.plan`); it flows
-through the cache, journal, and ABT preflight like any other unit, and
+through the cache and journal like any other unit, and
 its content digest covers the rewritten kernel sources automatically
 because :func:`repro.exec.unit.unit_fingerprint` renders kernels through
 ``Benchmark.build_kernels``.
@@ -105,7 +105,6 @@ def check_unit_variants(
     executor,
     unit: WorkUnit,
     tokens: Optional[Sequence] = None,
-    preflight: bool = True,
     plan_options: Optional[Mapping] = None,
 ) -> list:
     """Run every variant of ``unit`` and compare each to the baseline.
@@ -121,13 +120,12 @@ def check_unit_variants(
     checks = []
     for token in tokens if tokens is not None else variants_for_unit(unit, plan_options):
         vu = with_variant(unit, token)
-        if preflight:
-            verdict = preflight_unit(vu)
-            if verdict.would_abt:
-                checks.append(
-                    VariantCheck(vu, token, "inadmissible", note=verdict.code or "")
-                )
-                continue
+        verdict = preflight_unit(vu)
+        if verdict.would_abt:
+            checks.append(
+                VariantCheck(vu, token, "inadmissible", note=verdict.code or "")
+            )
+            continue
         try:
             ur = executor.run_unit(vu)
         except UnitFailed as e:

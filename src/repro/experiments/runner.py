@@ -24,10 +24,11 @@ and into ``--sweep-json``.
 Exits: ``0`` clean, ``1`` when any shape check valid at the requested
 size fails or any unit failure was *not* planted by the ``repro.faults``
 chaos harness (injected failures are expected in chaos runs and do not
-fail the build), and ``75`` (``EX_TEMPFAIL``) when the run was
-interrupted by SIGINT/SIGTERM: the engine drains instead of dying, the
-run journal records ``interrupted``, and rerunning with ``--resume``
-picks up exactly the unfinished units.
+fail the build), and ``75`` (``EX_TEMPFAIL``) when a SIGINT/SIGTERM
+drain left an experiment unfinished: the engine drains instead of
+dying, the run journal records ``interrupted``, and rerunning with
+``--resume`` picks up exactly the unfinished units.  A drain that
+stranded nothing ends like an uninterrupted run.
 """
 from __future__ import annotations
 
@@ -110,7 +111,6 @@ def build_executor(args, journal=None, resumed=None) -> rexec.SweepExecutor:
         progress=telemetry.progress_mode(args),
         journal=journal,
         resumed=resumed,
-        preflight=not getattr(args, "no_preflight", False),
         grace=getattr(args, "grace", 30.0),
     )
     if resumed is not None and ex.cache is not None:
@@ -171,6 +171,7 @@ def main(argv=None) -> int:
             )
     failures = 0
     aborted_unexpected = 0
+    stranded = 0  # experiments a drain cut short
     tr = telemetry.start_run(args, "repro.experiments")
     cache_dir = (
         None if args.no_cache
@@ -181,12 +182,11 @@ def main(argv=None) -> int:
     )
     ex = build_executor(args, journal=journal, resumed=replay)
     with rexec.use_executor(ex), tspans.use_tracer(tr), \
-            lifecycle.GracefulShutdown(ex, grace=args.grace) as shutdown:
+            lifecycle.GracefulShutdown(ex, grace=args.grace):
         ex.prewarm(collect_units(names, args.size))
         for name in names:
-            if ex.draining:
-                print(f"({name}: not started, draining)", file=sys.stderr)
-                continue
+            # during a drain warm units keep serving; an experiment that
+            # needs a cold one is cut short and left for --resume
             t0 = time.time()
             try:
                 with tspans.span("experiment", "engine", experiment=name):
@@ -195,6 +195,7 @@ def main(argv=None) -> int:
                 # drain began mid-experiment: its remaining cold units
                 # are left for --resume
                 print(f"({name}: interrupted: {e})", file=sys.stderr)
+                stranded += 1
                 continue
             except ReproError as e:
                 # a work unit this experiment needs failed terminally;
@@ -214,7 +215,8 @@ def main(argv=None) -> int:
             failures += len(res.failed_checks())
         finish_sweep(args, ex)
         unexpected = len(ex.stats.unexpected_failures())
-    interrupted = shutdown.interrupted or ex.draining
+    # a drain that stranded nothing ends like a clean run
+    interrupted = stranded > 0
     state, code = lifecycle.run_outcome(
         interrupted, failures + unexpected + aborted_unexpected
     )

@@ -15,10 +15,11 @@ Two layers:
   unconsumed, so a later poll picks it up once complete.  A *complete*
   line that still fails to parse is counted and skipped.
 * :class:`RunTracker` — folds journal records into a
-  :class:`RunStatus`: unit accounting (planned / cached / done /
-  failed / in-flight / queued), per-kind failure counts, progress %,
-  throughput and ETA from completed-unit durations, degraded/resumed
-  flags, and heartbeat-derived liveness.
+  :class:`RunStatus`.  Completed, failed and in-flight units come from
+  the resume path's own reducer (:func:`repro.exec.journal.fold`); the
+  tracker adds only what status needs on top: plan counts, progress %,
+  throughput and ETA from completed-unit durations, and
+  heartbeat-derived liveness.
 
 Liveness semantics: a ``running`` journal whose last heartbeat is older
 than :data:`STALE_BEATS` intervals is presumed dead — its in-flight
@@ -35,7 +36,7 @@ from typing import Optional
 
 from ..durable import DEFAULT_HEARTBEAT_S
 from ..durable import Follower as JournalFollower
-from ..exec.journal import journal_dir
+from ..exec.journal import JournalReplay, fold, journal_dir
 
 __all__ = [
     "STALE_BEATS",
@@ -99,23 +100,26 @@ class RunTracker:
     def __init__(self, path):
         self.follower = JournalFollower(path)
         self.path = Path(path)
-        self.run_id = self.path.stem if self.path.suffix else str(path)
-        self.command = ""
+        #: completed / failed / in-flight units, as resume would see them
+        self.replay = JournalReplay(
+            run_id=self.path.stem if self.path.suffix else str(path),
+            path=self.path,
+            state="planned",
+        )
         self.pid: Optional[int] = None
-        self.state = "planned"
-        self.resumed_from: Optional[str] = None
         self.planned = 0
         self.todo = 0
-        self.demoted = False
         self.records = 0
         self.first_unix: Optional[float] = None
         self.last_unix: Optional[float] = None
         self.last_heartbeat: Optional[dict] = None
-        self._starts: dict = {}  # digest -> (label, unix)
-        self._completed: set = set()
-        self._failed: dict = {}  # digest -> (kind, injected)
+        self._start_unix: dict = {}  # digest -> unix of its latest start
         self._durations: list = []
         self._done_unix: list = []
+
+    @property
+    def run_id(self) -> str:
+        return self.replay.run_id
 
     # -- folding -----------------------------------------------------------
     def poll(self) -> "RunTracker":
@@ -126,53 +130,33 @@ class RunTracker:
 
     def _apply(self, rec: dict) -> None:
         self.records += 1
+        fold(self.replay, rec)
         t = rec.get("t")
         u = rec.get("unix")
         if isinstance(u, (int, float)):
             self.first_unix = u if self.first_unix is None else self.first_unix
             self.last_unix = u if self.last_unix is None else max(self.last_unix, u)
         if t == "run":
-            self.run_id = rec.get("run_id", self.run_id)
-            self.command = rec.get("command", "")
-            self.resumed_from = rec.get("resumed_from")
             self.pid = rec.get("pid")
-            self.state = "running"
         elif t == "plan":
             # a resumed run re-plans; the latest plan is the live one
             self.planned = int(rec.get("units", 0))
             self.todo = int(rec.get("todo", 0))
         elif t == "start":
-            self._starts[rec["d"]] = (rec.get("label", ""), u)
+            self._start_unix[rec["d"]] = u
         elif t == "done":
-            d = rec["d"]
-            started = self._starts.get(d)
-            if started is not None and started[1] is not None and u is not None:
-                self._durations.append(max(0.0, u - started[1]))
+            started = self._start_unix.get(rec["d"])
+            if started is not None and u is not None:
+                self._durations.append(max(0.0, u - started))
             if u is not None:
                 self._done_unix.append(u)
-            self._completed.add(d)
-            self._failed.pop(d, None)
-        elif t == "fail":
-            self._failed[rec["d"]] = (
-                rec.get("kind", "ERROR"), bool(rec.get("injected"))
-            )
         elif t == "hb":
             self.last_heartbeat = rec
-        elif t == "demote":
-            self.demoted = True
-        elif t == "state":
-            self.state = rec.get("state", self.state)
 
     # -- derivation --------------------------------------------------------
-    def _in_flight(self) -> dict:
-        return {
-            d: lab_ts for d, lab_ts in self._starts.items()
-            if d not in self._completed and d not in self._failed
-        }
-
     def _liveness(self, now: float):
         """(live, heartbeat_age).  None = terminal state or unknowable."""
-        if self.state not in ("running", "planned"):
+        if self.replay.state not in ("running", "planned"):
             return None, None
         hb = self.last_heartbeat
         if hb is not None and isinstance(hb.get("unix"), (int, float)):
@@ -193,10 +177,11 @@ class RunTracker:
         ``now = last_unix`` the output depends only on journal bytes.
         """
         now = time.time() if now is None else float(now)
-        in_flight = self._in_flight()
-        done, failed = len(self._completed), len(self._failed)
+        rep = self.replay
+        in_flight = len(rep.in_flight)
+        done, failed = len(rep.completed), len(rep.failed)
         cached = max(0, self.planned - self.todo)
-        queued = max(0, self.todo - done - failed - len(in_flight))
+        queued = max(0, self.todo - done - failed - in_flight)
         progress = None
         if self.planned:
             progress = 100.0 * (cached + done + failed) / self.planned
@@ -206,39 +191,37 @@ class RunTracker:
             if span > 0:
                 throughput = len(self._done_unix) / span
         eta = None
-        remaining = queued + len(in_flight)
-        if self.state in ("running", "planned") and remaining and self._durations:
+        remaining = queued + in_flight
+        if rep.state in ("running", "planned") and remaining and self._durations:
             eta = (sum(self._durations) / len(self._durations)) * remaining
         live, hb_age = self._liveness(now)
         stale = []
         if live is False:
-            stale = sorted(lab for lab, _ in in_flight.values())
+            stale = sorted(rep.labels.get(d, "") for d in rep.in_flight)
         kinds: dict = {}
-        injected = 0
-        for kind, inj in self._failed.values():
+        for kind in rep.failed.values():
             kinds[kind] = kinds.get(kind, 0) + 1
-            injected += inj
         hb = self.last_heartbeat or {}
         return RunStatus(
-            run_id=self.run_id,
-            command=self.command,
-            state=self.state,
+            run_id=rep.run_id,
+            command=rep.command,
+            state=rep.state,
             live=live,
             pid=self.pid,
             planned=self.planned,
             cached=cached,
             done=done,
             failed=failed,
-            in_flight=len(in_flight),
+            in_flight=in_flight,
             queued=queued,
             progress_pct=progress,
             throughput_ups=throughput,
             eta_s=eta,
             fail_kinds=dict(sorted(kinds.items())),
-            injected_failures=injected,
+            injected_failures=len(rep.injected),
             stale_units=stale,
-            demoted=self.demoted,
-            resumed_from=self.resumed_from,
+            demoted=rep.demoted,
+            resumed_from=rep.resumed_from,
             heartbeat_age_s=hb_age,
             heartbeat_interval_s=hb.get("interval"),
             started_unix=self.first_unix,

@@ -16,7 +16,6 @@ __all__ = [
     "render_run",
     "render_sweep",
     "render_failures",
-    "render_preflight",
 ]
 
 #: Table-V class display order
@@ -141,14 +140,19 @@ def render_sweep(stats, title: str = "sweep") -> str:
 
     ``stats`` is a :class:`repro.exec.SweepStats`; this lives on the
     profiler's report path so the sweep engine's accounting renders in
-    the same ASCII style as the launch profiles it summarizes.
+    the same ASCII style as the launch profiles it summarizes.  The
+    ``failure`` column is each result's Table VI tag ("ABT" for a
+    kernel the device could not admit), as its own launch decided it.
     """
     recs = list(stats.records)
     fails = list(getattr(stats, "failures", ()))
     if not recs and not fails:
         return f"== {title}: no work units served =="
     width = max(24, max((len(r.label) for r in recs), default=0))
-    head = f"{'unit':<{width}} {'served':>8} {'sim time':>12} {'digest':>10}"
+    head = (
+        f"{'unit':<{width}} {'served':>8} {'sim time':>12} {'failure':>8} "
+        f"{'digest':>10}"
+    )
     failed = f", {len(fails)} failed" if fails else ""
     lines = [
         f"== {title}: {len(recs)} unit request(s), {stats.hits} hit(s), "
@@ -159,12 +163,12 @@ def render_sweep(stats, title: str = "sweep") -> str:
     for r in recs:
         lines.append(
             f"{r.label:<{width}} {r.source:>8} {_fmt_s(r.sim_seconds):>12} "
-            f"{r.digest[:8]:>10}"
+            f"{r.failure or '-':>8} {r.digest[:8]:>10}"
         )
     lines.append("-" * len(head))
     lines.append(
         f"{'total simulation time':<{width}} {'':>8} "
-        f"{_fmt_s(stats.sim_seconds):>12} {'':>10}"
+        f"{_fmt_s(stats.sim_seconds):>12}"
     )
     mem = getattr(stats, "mem_hits", None)
     if mem is not None:
@@ -183,12 +187,6 @@ def render_sweep(stats, title: str = "sweep") -> str:
             f"{getattr(stats, 'resumed_hits', 0)} unit(s) served from its "
             "journaled results"
         )
-    checked = getattr(stats, "preflight_checked", 0)
-    if checked:
-        lines.append(
-            f"preflight: {checked} cold unit(s) checked, "
-            f"{len(getattr(stats, 'preflight', ()))} predicted ABT"
-        )
     demoted = getattr(stats, "demoted", None)
     if demoted:
         lines.append(
@@ -196,38 +194,8 @@ def render_sweep(stats, title: str = "sweep") -> str:
             f"{demoted.get('incidents')} broken-pool incident(s) "
             f"({demoted.get('reason')})"
         )
-    pre = list(getattr(stats, "preflight", ()))
-    if pre:
-        lines += ["", render_preflight(pre)]
     if fails:
         lines += ["", render_failures(stats)]
-    return "\n".join(lines)
-
-
-def render_preflight(verdicts, title: str = "predicted ABT (preflight)") -> str:
-    """Units the preflight guard says will abort at enqueue.
-
-    These are Table VI "ABT" rows *predicted before any launch*: the
-    guard compiled the unit's kernels and applied the simulator's own
-    admission checks.  The units still execute (the verdict is
-    advisory), so the table is a forecast the run then confirms.
-    """
-    rows = [v if isinstance(v, dict) else v.as_dict() for v in verdicts]
-    if not rows:
-        return f"== {title}: none =="
-    width = max(24, max(len(r["label"]) for r in rows))
-    head = (
-        f"{'unit':<{width}} {'kernel':<18} {'code':<22} "
-        f"{'regs':>5} {'local':>8} {'wg':>5}"
-    )
-    lines = [f"== {title}: {len(rows)} ==", head, "-" * len(head)]
-    for r in rows:
-        lines.append(
-            f"{r['label']:<{width}} {str(r.get('kernel'))[:18]:<18} "
-            f"{str(r.get('code')):<22} {r.get('registers', 0):>5} "
-            f"{_fmt_bytes(r.get('shared_bytes', 0)):>8} "
-            f"{r.get('threads', 0):>5}"
-        )
     return "\n".join(lines)
 
 

@@ -119,7 +119,7 @@ class CudaContext:
 
     # -- compilation ---------------------------------------------------------
     def compile(self, kernel: KirKernel) -> CudaFunction:
-        # nvcc-style launch bounds (shared with the ABT preflight guard)
+        # nvcc-style launch bounds (shared with the ABT preflight)
         budget = self.spec.launch_reg_budget(kernel.wg_hint)
         t0 = time.perf_counter()
         ptx = compile_cuda(kernel, max_regs=budget)

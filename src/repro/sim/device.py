@@ -40,8 +40,8 @@ def admission_error(spec: DeviceSpec, resources, block: tuple) -> Optional[str]:
     A pure function of (DeviceSpec, per-kernel resource usage, block
     shape) — the complete admission control the simulator applies at
     enqueue time.  These are the checks behind Table VI's "ABT" rows,
-    and because the sweep engine's preflight guard calls *this same
-    function* on the same compiled resources, a preflight verdict
+    and because :func:`repro.exec.lifecycle.preflight_unit` calls *this
+    same function* on the same compiled resources, a preflight verdict
     agrees with the launch-time outcome by construction.
     """
     threads = block[0] * block[1] * block[2]
@@ -134,8 +134,7 @@ class SimDevice:
         These are the checks behind Table VI's "ABT" rows: the Cell/BE's
         small register file and local store reject FFT/DXTC/RdxS/STNW at
         enqueue time with ``CL_OUT_OF_RESOURCES``.  Delegates to
-        :func:`admission_error`, which the sweep engine's preflight
-        guard shares.
+        :func:`admission_error`, which ``preflight_unit`` shares.
         """
         return admission_error(self.spec, kernel.resources, block)
 

@@ -16,8 +16,7 @@ def sweep_executor(tmp_path_factory):
     identical work units (same benchmark, API, device, size, options)
     share one simulation.  ``REPRO_JOBS`` sets the process fan-out for
     prewarmed sweeps (CI runs the suite at 1 and 4).  The suite keeps
-    results in memory only — an on-disk cache here could serve results
-    staled by simulator edits, which the digest does not cover.
+    results in memory only.
 
     ``REPRO_CACHE_DIR`` is pointed at a session tmpdir so CLI entry
     points invoked in-process don't drop ``.repro-cache`` into the repo.

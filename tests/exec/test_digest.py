@@ -7,11 +7,13 @@
 (c) byte-identity of cached results is covered in test_engine.py.
 """
 import dataclasses
+import shutil
 
 from hypothesis import given, settings, strategies as st
 
 from repro import exec as rexec
 from repro.arch.specs import GTX280, GTX480, device_by_name
+from repro.exec import unit as unit_mod
 from repro.exec.unit import digest_of_fingerprint, unit_fingerprint
 
 BENCHMARKS = ["TranP", "Reduce", "Sobel", "MD"]
@@ -124,3 +126,32 @@ def test_timing_calibration_is_part_of_the_key():
         spec, timing=dataclasses.replace(spec.timing, dram_efficiency=0.5)
     )
     assert rexec.unit_digest(unit) != rexec.unit_digest(unit, spec=slower)
+
+
+def test_model_source_is_part_of_the_key(tmp_path, monkeypatch):
+    # a copy of the package stands in for the installed one, so its
+    # files can be edited; the digest follows the model packages only
+    root = tmp_path / "repro"
+    shutil.copytree(
+        unit_mod.PACKAGE_ROOT, root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    monkeypatch.setattr(unit_mod, "PACKAGE_ROOT", root)
+    unit = rexec.make_unit("TranP", "cuda", GTX480, "small")
+
+    def digest_after_flipping(rel=None):
+        if rel is not None:
+            path = root / rel
+            data = bytearray(path.read_bytes())
+            data[0] ^= 1
+            path.write_bytes(bytes(data))
+        unit_mod.code_digest.cache_clear()
+        return rexec.unit_digest(unit)
+
+    base = digest_after_flipping()
+    assert base == rexec.unit_digest(unit)  # computed once, then cached
+    assert digest_after_flipping("obs/registry.py") == base
+    assert digest_after_flipping("serve/daemon.py") == base
+    sim = digest_after_flipping("sim/interp.py")
+    assert sim != base
+    assert digest_after_flipping("errors.py") != sim

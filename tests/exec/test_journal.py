@@ -100,6 +100,23 @@ class TestReplay:
         assert rep.completed == {"aaa"}
         assert rep.failed == {} and rep.in_flight == set()
 
+    def test_settled_unit_never_back_in_flight(self, tmp_path):
+        # a later start does not reopen a done or failed unit, and the
+        # status tracker folds the journal to the same sets
+        from repro.obs import RunTracker
+
+        j = RunJournal.create(tmp_path, "run-1")
+        j.record_start("aaa", "MD/cuda")
+        j.record_done("aaa")
+        j.record_start("aaa", "MD/cuda")
+        j.record_start("bbb", "FFT/cuda")
+        j.record_fail("bbb", "CRASH", injected=True)
+        j.record_start("bbb", "FFT/cuda")
+        rep = jmod.load(j.path)
+        assert rep.in_flight == set() and rep.injected == {"bbb"}
+        s = RunTracker(j.path).poll().status()
+        assert (s.done, s.failed, s.in_flight, s.injected_failures) == (1, 1, 0, 1)
+
     def test_torn_tail_tolerated(self, tmp_path):
         j = self._journal(tmp_path)
         with open(j.path, "a") as f:

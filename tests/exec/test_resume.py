@@ -13,6 +13,9 @@ Three real CLI processes:
 3. a ``--resume`` rerun with the fault cleared — it must exit 0,
    re-simulate only what the interrupted run did not finish, and write
    results JSON **byte-identical** to the uninterrupted reference.
+
+A drain that strands nothing is not an interruption: a signal that
+lands while the last unit runs ends the sweep like a clean run.
 """
 import json
 import os
@@ -158,3 +161,24 @@ def test_results_json_is_valid_canonical_doc(scenario):
     assert doc["results"], "reference run produced no rows"
     for row in doc["results"]:
         assert row["seconds"] == 0.0  # wall clocks are canonicalized away
+
+
+def test_drain_after_last_unit_ends_like_a_clean_run(tmp_path):
+    # sequential, so the SIGINT planted on the last unit lands while it
+    # runs: the drain lets it finish and strands nothing
+    args = ["TranP", "--device", "GTX480", "--api", "both", "--size",
+            "small", "--jobs", "1"]
+    ref_json, out_json = tmp_path / "ref.json", tmp_path / "out.json"
+    ref = run_cli(args + ["--results-json", str(ref_json)], tmp_path / "ref")
+    assert ref.returncode == 0, ref.stderr
+    cache = tmp_path / "drained"
+    drained = run_cli(
+        args + ["--results-json", str(out_json)], cache,
+        faults="interrupt:TranP/opencl*",
+    )
+    assert "draining" in drained.stderr  # the signal did land
+    assert drained.returncode == 0, drained.stderr
+    assert "resume with" not in drained.stderr
+    (rep,) = [jmod.load(p) for p in jmod.journal_dir(cache).glob("*.jsonl")]
+    assert rep.state == "complete" and not rep.in_flight
+    assert out_json.read_bytes() == ref_json.read_bytes()

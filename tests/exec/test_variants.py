@@ -76,7 +76,7 @@ def test_engine_failure_surfaces_as_failed_check(sweep_executor, sobel_unit):
             return sweep_executor.run_unit(unit)
 
     checks = rvariants.check_unit_variants(
-        Boom(), sobel_unit, tokens=["sobel!cse:body"], preflight=False
+        Boom(), sobel_unit, tokens=["sobel!cse:body"]
     )
     assert [c.status for c in checks] == ["failed"]
     assert checks[0].note == "TIMEOUT"
@@ -86,6 +86,6 @@ def test_bad_token_surfaces_as_failed_not_preserved(sweep_executor, sobel_unit):
     # a token naming a nonexistent site dies in the engine (RewriteError
     # during kernel build); the check must report that, never "preserved"
     checks = rvariants.check_unit_variants(
-        sweep_executor, sobel_unit, tokens=["sobel!promote:ghost"], preflight=False
+        sweep_executor, sobel_unit, tokens=["sobel!promote:ghost"]
     )
     assert [c.status for c in checks] == ["failed"]
