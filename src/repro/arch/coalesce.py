@@ -129,13 +129,11 @@ def segments_gt200(
 
 def coalesce(
     spec: DeviceSpec, addrs: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Resolve one warp's global access into ``(segment_bases, bytes)``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve one warp's global access into ``(segment_bases, widths)``."""
     if spec.architecture == "gt200":
-        bases, widths = segments_gt200(addrs, sizes)
-    else:
-        bases, widths = segments_lines(addrs, sizes, spec.line_bytes)
-    return bases, int(widths.sum()) if bases.size else 0
+        return segments_gt200(addrs, sizes)
+    return segments_lines(addrs, sizes, spec.line_bytes)
 
 
 def compact_rows(

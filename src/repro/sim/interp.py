@@ -17,23 +17,31 @@ phenomena) through :class:`~repro.sim.memsys.MemorySystem`.
 
 Batching invariants (the bit-identity contract, see DESIGN.md):
 
-* **Bulk memory charges, deferred cache walks** — every warp row of a
+* **The batch is the unit of memory charging** — every warp row of a
   memory visit is coalesced (:func:`~repro.arch.coalesce.row_segments`),
   bank-resolved (:func:`~repro.arch.banks.bank_replays`) or reduced to
   its texture lines / constant addresses in one vectorized pass at
-  record time.  Charges that touch no cache state — shared-memory banks
-  and the cache-less global path — are summed per block there; only the
-  L1/L2, texture and constant cache walks, which are order-sensitive,
-  stay per row.  At batch end each block makes one memory-system call
-  per visit, in linear block order, so caches evolve exactly as under
-  per-block execution.  The per-block sums are exact because
-  ``dram_latency``, ``tx_cycles`` and ``shared_latency`` are
-  integer-valued (a test holds every spec to that), and a block's DRAM
-  regions enter ``region_counts`` in row order, so its insertion order
-  is unchanged too.
-* **Per-block cost folds** — ``comp``/``memc`` accumulate per block in
-  that block's own visit order, so the float summation order (and hence
-  every last ulp of the timing model) matches per-block execution.
+  record time.  At batch end :meth:`_replay` hands every recorded
+  visit to :meth:`~repro.sim.memsys.MemorySystem.charge` in one call.
+  It resolves all L1/L2, texture and constant accesses as one
+  block-major stream, ordered by (block, visit, row, line), with one
+  stack-distance pass per cache level
+  (:func:`~repro.arch.caches.lru_stream`): L1 and the texture and
+  constant caches are keyed per CU (blocks ``j`` and ``j + n_cu`` of a
+  batch share one), L2 is shared and sees only L1 load misses plus all
+  stores.  Caches therefore end exactly as under per-block execution.
+  It returns a (visit × block) cost matrix.  Row costs are sums of
+  integer-valued latencies (a test holds every spec to that), so
+  per-block sums are exact in any order — except texture rows, whose
+  ``0.2 * tx_cycles`` term is folded in row order.  ``region_counts``
+  gets one ``Counter.update`` per batch in stream order, and
+  ``dram_bytes`` one whole-byte sum per CU.
+* **Per-block cost folds** — the fold orders of per-block execution are
+  kept: ``comp``/``memc`` accumulate per block in visit order (a
+  sequential ``np.cumsum`` down the visit axis), ``cyc_hist[key]`` in
+  (block, visit) order with a new key entering at its first active
+  (block, visit), and ``comp_cycles``/``mem_cycles[cu]`` in block
+  order, so every last ulp of the timing model matches.
 * **Per-block divergence bookkeeping** — EXIT kills only the blocks
   with lanes in the exiting frame; barriers check convergence per
   participating block; dual-issue pairing state is tracked per block.
@@ -108,50 +116,6 @@ def _batch_size(width: int, blocks: int) -> int:
                 "integer); using the lane-budget default",
             )
     return max(1, min(_BATCH_CAP, _BATCH_LANES // max(width, 1), blocks))
-
-
-def _blocks(cnt: np.ndarray, nb: int) -> list:
-    """Split per-row item counts into per-block work.
-
-    ``cnt`` counts each warp row's items (lanes or segments), whose
-    row-major concatenation is the visit's item list.  Returns, per
-    block, ``(lo, hi, r_lo, r_hi)``: its slice of that list and of
-    the non-empty rows (``cnt[cnt > 0]``) — or None when it has none.
-    """
-    per = cnt.reshape(nb, -1)
-    ends = np.cumsum(per.sum(axis=1)).tolist()
-    row_ends = np.cumsum((per > 0).sum(axis=1)).tolist()
-    out = []
-    lo = r_lo = 0
-    for hi, r_hi in zip(ends, row_ends):
-        out.append((lo, hi, r_lo, r_hi) if hi > lo else None)
-        lo, r_lo = hi, r_hi
-    return out
-
-
-def _walks(fn, row, items, nrows: int, nb: int, *tail, traffic=None) -> tuple:
-    """One cache walk per block over its rows' items, in row order.
-
-    ``row``/``items`` list the items (line bases) of the visit's
-    ``nrows`` warp rows, row by row; ``traffic`` optionally gives
-    each row's bytes.
-    """
-    cnt = np.bincount(row, minlength=nrows)
-    live = cnt > 0
-    counts = cnt[live].tolist()
-    flat = items.tolist()
-    per_row = None if traffic is None else traffic[live].tolist()
-    per_block = []
-    for b in _blocks(cnt, nb):
-        if b is None:
-            per_block.append(None)
-            continue
-        lo, hi, r_lo, r_hi = b
-        args = (flat[lo:hi], counts[r_lo:r_hi])
-        if per_row is not None:
-            args += (per_row[r_lo:r_hi],)
-        per_block.append(args + tail)
-    return fn, per_block
 
 
 class SimulationError(RuntimeError):
@@ -666,7 +630,7 @@ class GridRunner:
                         lanes, dtype=np_dtype(i.dtype)
                     )
                 self._write(regs, i.dst, slot, active, afull)
-                visits.append(("l", hk, ngr_l, sizeof(i.dtype)))
+                visits.append(("m", hk, ngr_l, ("local", sizeof(i.dtype))))
                 stats.mem_instructions += tot
             elif op is Op.ST and i.space is AddrSpace.LOCAL:
                 off = int(i.srcs[0].value)
@@ -680,7 +644,7 @@ class GridRunner:
                     slot[active] = val
                 else:
                     slot[active] = val[active]
-                visits.append(("l", hk, ngr_l, sizeof(i.dtype)))
+                visits.append(("m", hk, ngr_l, ("local", sizeof(i.dtype))))
                 stats.mem_instructions += tot
             elif op is Op.LD or op is Op.ST or op is Op.TEX:
                 charge = self._memory_access(
@@ -767,11 +731,11 @@ class GridRunner:
     ) -> tuple:
         """Perform the functional memory effect; record its charge.
 
-        Returns ``(fn, per_block)``: the batch-end :meth:`_replay` calls
-        ``fn(cu, *per_block[j])`` once for block ``j`` (None: the block
-        issued nothing).  Per-warp coalescing and bank conflicts are
-        resolved here for all rows at once; ``fn`` charges the memory
-        system, walking stateful caches row by row in row order.
+        Returns the visit's record for
+        :meth:`~repro.sim.memsys.MemorySystem.charge`: per-warp
+        coalescing, bank conflicts, texture lines and constant lookups
+        are resolved here for all rows at once, and the batch-end
+        :meth:`_replay` charges every record of the batch together.
         """
         size = sizeof(i.dtype)
         WW = self.WW
@@ -798,15 +762,15 @@ class GridRunner:
         act = None if afull else active.reshape(-1, WW)
         memsys = self.memsys
         if i.op is Op.TEX:
-            row, lines = memsys.texture_rows(rows, act, size)
-            charge = _walks(memsys.walk_texture, row, lines, len(rows), nb)
+            charge = ("tex",) + memsys.texture_rows(rows, act, size)
         elif space is AddrSpace.CONST:
-            row, bases = memsys.const_rows(rows, act)
-            charge = _walks(memsys.walk_const, row, bases, len(rows), nb)
+            charge = ("const",) + memsys.const_rows(rows, act)
         elif space is AddrSpace.SHARED:
             charge = self._shared_charge(rows, act, nb)
         else:
-            charge = self._global_charge(rows, act, size, i.op is Op.ST, nb)
+            charge = ("global",) + row_segments(self.spec, rows, act, size) + (
+                i.op is Op.ST,
+            )
 
         if i.op is Op.TEX:
             val = self.mem.load(addrs, i.dtype)
@@ -858,99 +822,80 @@ class GridRunner:
 
     def _shared_charge(self, rows, act, nb: int) -> tuple:
         """Bank replays of every warp row, pre-summed per block."""
-        width = rows.shape[1]
-        cnt = np.full(rows.shape[0], width) if act is None else act.sum(axis=1)
+        issued = np.ones(rows.shape, dtype=bool) if act is None else act
+        requests = issued.any(axis=1).reshape(nb, -1).sum(axis=1)
         # rows without an active lane report one pass: zero extra
         extra = (bank_replays(self.spec, rows, act) - 1).reshape(nb, -1)
-        extra = extra.sum(axis=1).tolist()
-        per_block = [
-            None if b is None else (b[3] - b[2], x)
-            for b, x in zip(_blocks(cnt, nb), extra)
-        ]
-        return self.memsys.charge_shared, per_block
-
-    def _global_charge(self, rows, act, size: int, is_store: bool, nb: int) -> tuple:
-        """Coalesce every warp row of a global access at once.
-
-        Cache-less devices get one charge pre-summed per block, its DRAM
-        regions listed in row order; cached ones one L1/L2 walk per
-        block over its rows' segments.
-        """
-        nrows = len(rows)
-        row, bases, widths = row_segments(self.spec, rows, act, size)
-        if self.spec.has_global_cache:
-            traffic = np.bincount(row, weights=widths, minlength=nrows)
-            return _walks(
-                self.memsys.walk_global, row, bases, nrows, nb, is_store,
-                traffic=traffic.astype(np.int64),
-            )
-        traffic = np.bincount(row // (nrows // nb), weights=widths, minlength=nb)
-        traffic = traffic.astype(np.int64).tolist()
-        regions = (bases >> 8).tolist()
-        blocks = _blocks(np.bincount(row, minlength=nrows), nb)
-        # every warp row with an active lane issues at least one segment,
-        # so a block's non-empty rows are its requests
-        return self.memsys.charge_dram, [
-            None
-            if b is None
-            else (b[3] - b[2], b[1] - b[0], tr, regions[b[0] : b[1]], is_store)
-            for b, tr in zip(blocks, traffic)
-        ]
+        return ("shared", requests, extra.sum(axis=1))
 
     def _replay(self, visits: list, nb: int, cus: list) -> None:
-        """Charge the recorded visits per block, in linear block order.
+        """Fold the batch's recorded visits into the launch statistics.
 
-        This reproduces exactly what per-block execution would have
-        done to the (order-sensitive) memory-system state and to the
-        float accumulation order of the cycle accounting: block ``j``
-        replays all of its visits — memory accesses included — before
-        block ``j + 1`` touches anything.
+        The memory system charges every memory visit of every block in
+        one call (:meth:`~repro.sim.memsys.MemorySystem.charge`), which
+        leaves cache state exactly as block-by-block execution would.
+        The float folds then keep per-block execution's summation order:
+        ``comp``/``memc`` accumulate per block in visit order (sequential
+        ``np.cumsum`` down the visit axis of a (visit × block) matrix),
+        ``cyc_hist[key]`` folds in (block, visit) order, a new key
+        entering at its first active (block, visit), and the per-CU
+        totals fold in block order.
         """
-        t = self.spec.timing
-        memsys = self.memsys
         stats = self.stats
+        stats.blocks += nb
+        if not visits:
+            return
+        alu = self.spec.timing.alu_cycles
+        # frames share their ngr list between visits: convert each once
+        ids = np.array([id(v[2]) for v in visits])
+        _, first, pick = np.unique(ids, return_index=True, return_inverse=True)
+        ngr = np.array([visits[k][2] for k in first.tolist()], dtype=np.int64)[pick]
+        of: dict = {"c": [], "C": [], "m": [], "bra": [], "bar": []}
+        for k, v in enumerate(visits):
+            of[v[0]].append(k)
+        comp = np.zeros(ngr.shape)
+        memc = np.zeros(ngr.shape)
+        c = of["c"]
+        if c:
+            comp[c] = np.array([visits[k][3] for k in c])[:, None] * ngr[c]
+        if of["C"]:
+            comp[of["C"]] = [visits[k][3] for k in of["C"]]
+        flow = of["bra"] + of["bar"]
+        comp[flow] = alu * ngr[flow]
+        m = of["m"]
+        if m:
+            memc[m] = self.memsys.charge(
+                [visits[k][3] for k in m], ngr[m], cus, self.ngroups_full
+            )
+        comp = np.cumsum(comp, axis=0)
+        memc = np.cumsum(memc, axis=0)
+        # each visit adds (comp + memc) - (its c0), as per-block code does;
+        # branches and barriers add their issue cost directly
+        delta = np.diff(comp + memc, axis=0, prepend=0.0)
+        delta[flow] = alu * ngr[flow]
+
+        # cyc_hist: gather each key's active entries in (block, visit)
+        # order and fold them onto its running value
+        code: dict = {}
+        keys = np.array([code.setdefault(v[1], len(code)) for v in visits])
+        live = (ngr > 0).T
+        vals = delta.T[live]
+        kcol = np.broadcast_to(keys, live.shape)[live]
+        order = np.argsort(kcol, kind="stable")
+        kcol = kcol[order]
+        bounds = np.flatnonzero(np.diff(kcol, prepend=-1)).tolist() + [kcol.size]
+        names = list(code)
+        groups = sorted(
+            (order[lo], kcol[lo], lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        )
         cyc = stats.cyc_hist
-        alu = t.alu_cycles
-        for j in range(nb):
-            cu = cus[j]
-            comp = 0.0
-            memc = 0.0
-            for kind, key, ngr_l, data in visits:
-                ngr = ngr_l[j]
-                if not ngr:
-                    continue
-                if kind == "c":
-                    c0 = comp + memc
-                    comp += data * ngr
-                    cyc[key] += comp + memc - c0
-                elif kind == "m":
-                    # one memory-system call per block; the stateless
-                    # charges inside are per-block sums, exact because
-                    # their latencies are integers
-                    # (tests/sim/test_memsys.py::test_bulk_constants_are_integers)
-                    fn, per_block = data
-                    args = per_block[j]
-                    c0 = comp + memc
-                    if args is not None:
-                        memc += fn(cu, *args)
-                    cyc[key] += comp + memc - c0
-                elif kind == "C":
-                    c0 = comp + memc
-                    comp += data[j]
-                    cyc[key] += comp + memc - c0
-                elif kind == "l":
-                    c0 = comp + memc
-                    memc += memsys.access_local(cu, data, data) * ngr
-                    cyc[key] += comp + memc - c0
-                elif kind == "bra":
-                    comp += alu * ngr
-                    cyc["bra"] += alu * ngr
-                else:  # "bar"
-                    comp += alu * ngr
-                    cyc["bar"] += alu * ngr
-            stats.comp_cycles[cu] += comp
-            stats.mem_cycles[cu] += memc
-            stats.blocks += 1
+        for _, k, lo, hi in groups:
+            key = names[k]
+            run = np.concatenate(([cyc.get(key, 0.0)], vals[order[lo:hi]]))
+            cyc[key] = float(np.cumsum(run)[-1])
+        for cu, cv, mv in zip(cus, comp[-1].tolist(), memc[-1].tolist()):
+            stats.comp_cycles[cu] += cv
+            stats.mem_cycles[cu] += mv
 
     def run(self) -> LaunchStats:
         gx, gy, gz = self.grid

@@ -29,9 +29,9 @@ byte-identical ``canonical_results_json``.  Three mechanisms carry it:
 * **Exact counter replay.**  Integer counters (cache hits/misses, gmem
   requests/transactions, shared/spill accounting, region counts) are
   restored by adding recorded integral deltas.  ``dram_bytes`` is a
-  float fold whose value depends on summation order, so the recording
-  journals every individual add and replay re-applies the sequence —
-  the running float state evolves through the identical op sequence it
+  float array, so the recording journals its adds (one whole-byte sum
+  per CU per charged batch) and replay re-applies the sequence — the
+  running float state evolves through the identical op sequence it
   would under real execution.
 
 Timing, occupancy, and the launch profile are *recomputed* from the
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+
+import numpy as np
 
 from .interp import LaunchStats
 
@@ -83,41 +85,41 @@ def _bank_iter(memsys):
             yield f"{name}.{i}", bank
 
 
+def _tables(memsys):
+    """Every residency table of the memory system, in a stable order."""
+    return [table for _, table in sorted(memsys.tables().items())]
+
+
 def cache_signature(memsys) -> tuple:
     """Exact content signature of the cache hierarchy.
 
-    Captures what determines future hit/miss behaviour: per bank, the
-    materialized sets with their resident line ids in LRU order.  Null
-    caches (the GT200 global path) carry no state and sign as None.
+    Captures what determines future hit/miss behaviour: per residency
+    table, the touched sets (those holding a line) with their resident
+    line ids in LRU order.  Its size follows the touched sets, not the
+    table (a whole Intel920 L2 is 1 MB).  Null caches (the GT200 global
+    path) carry no state and have no table.
     """
     sig = []
-    for label, bank in _bank_iter(memsys):
-        data = getattr(bank, "_data", None)
-        if data is None:
-            sig.append((label, None))
-        else:
-            sig.append(
-                (
-                    label,
-                    tuple(
-                        sorted(
-                            (si, tuple(od.keys())) for si, od in data.items()
-                        )
-                    ),
-                )
+    for table in _tables(memsys):
+        touched = np.flatnonzero(table.fill)
+        sig.append(
+            (
+                touched.tobytes(),
+                table.fill[touched].tobytes(),
+                table.tags[touched].tobytes(),
             )
+        )
     return tuple(sig)
 
 
 def _restore_caches(memsys, sig: tuple) -> None:
-    from collections import OrderedDict
-
-    for (label, content), (_, bank) in zip(sig, _bank_iter(memsys)):
-        if content is None:
-            continue
-        bank._data = {
-            si: OrderedDict((k, True) for k in keys) for si, keys in content
-        }
+    for (touched, fill, tags), table in zip(sig, _tables(memsys)):
+        old = np.flatnonzero(table.fill)
+        table.tags[old] = 0
+        table.fill[old] = 0
+        idx = np.frombuffer(touched, dtype=np.int64)
+        table.fill[idx] = np.frombuffer(fill, dtype=np.int64)
+        table.tags[idx] = np.frombuffer(tags, dtype=np.int64).reshape(-1, table.ways)
 
 
 def _copy_stats(stats: LaunchStats) -> LaunchStats:

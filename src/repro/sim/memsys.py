@@ -1,56 +1,75 @@
 """The memory system: per-CU caches + DRAM cost accounting.
 
-The interpreter charges each block's share of a warp memory instruction
-with one call: ``charge_*`` for stateless paths (shared banks, cache-less
-global), whose rows it has already resolved and summed, and ``walk_*``
-for cached paths, which touch cache state row by row in order.  The
-one-warp ``access_*`` methods route through the same code.  Each call
-updates cache state, returns the latency in core cycles, and accrues
-DRAM traffic.  Costs follow a simple serialization model: the slowest
-miss level sets the base latency and every extra transaction adds
-``tx_cycles``.
+The interpreter charges a whole batch of blocks with one call:
+:meth:`MemorySystem.charge` takes every memory visit the batch recorded
+and returns a (visit × block) cost matrix.  The cached paths (L1/L2,
+texture, constant) are resolved as one block-major stream, ordered by
+(block, visit, row, line), one :meth:`~repro.arch.caches.LRUTable.resolve`
+pass per cache level; the stateless paths (shared banks, cache-less
+global, register spills) are summed per (visit, block).  The one-warp
+``access_*`` methods charge a one-row stream through the same code.
+Costs follow a simple serialization model: the slowest miss level sets
+the base latency and every extra transaction adds ``tx_cycles``.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from ..arch.banks import bank_conflicts
-from ..arch.caches import LRUCache, null_cache
+from ..arch.caches import LRUTable, null_cache
 from ..arch.coalesce import coalesce, row_distinct, row_lines, segments_lines
 from ..arch.specs import DeviceSpec
 
-__all__ = ["MemorySystem", "AccessCost"]
+__all__ = ["MemorySystem"]
 
 #: texture-cache line and constant-cache line, in bytes
 _TEX_LINE = 32
 _CONST_LINE = 64
 
+#: record kinds charged as one cache stream, and its paths: global
+#: loads/stores, texture fetches and constant reads
+_STREAM = ("global", "tex", "const")
+_LD, _ST, _TEX, _CONST = range(4)
+
+#: stream items charged at once, about the 90th percentile of a default
+#: paper sweep's batches; larger batches go in chunks of blocks
+_CHUNK_ITEMS = 1 << 13
+
+
+def _blocks_of(rec: tuple, lo: int, hi: int, wpb: int) -> tuple:
+    """Blocks ``[lo, hi)`` of a :meth:`MemorySystem.charge` record."""
+    kind = rec[0]
+    if kind == "shared":
+        return (kind, rec[1][lo:hi], rec[2][lo:hi])
+    if kind not in _STREAM:
+        return rec
+    row = rec[1]
+    a, b = np.searchsorted(row, (lo * wpb, hi * wpb))
+    return (kind, row[a:b] - lo * wpb) + tuple(
+        x[a:b] if isinstance(x, np.ndarray) else x for x in rec[2:]
+    )
+
 
 class MemorySystem:
     def __init__(self, spec: DeviceSpec):
         self.spec = spec
-        t = spec.timing
         n = spec.compute_units
         if spec.has_global_cache:
-            self.l1 = [LRUCache(spec.l1_bytes, spec.line_bytes) for _ in range(n)]
-            self.l2 = LRUCache(spec.l2_bytes, spec.line_bytes, ways=8)
+            self.l1 = LRUTable(n, spec.l1_bytes, spec.line_bytes)
+            self.l2 = LRUTable(1, spec.l2_bytes, spec.line_bytes, ways=8)
         else:
             self.l1 = [null_cache() for _ in range(n)]
-            self.l2 = null_cache()
-        self.tex = [
-            LRUCache(max(spec.tex_cache_bytes, _TEX_LINE), _TEX_LINE)
-            for _ in range(n)
-        ]
-        self.const = [
-            LRUCache(max(spec.const_cache_bytes, _CONST_LINE), _CONST_LINE)
-            for _ in range(n)
-        ]
+            self.l2 = None
+        self.tex = LRUTable(n, max(spec.tex_cache_bytes, _TEX_LINE), _TEX_LINE)
+        self.const = LRUTable(
+            n, max(spec.const_cache_bytes, _CONST_LINE), _CONST_LINE
+        )
         # traffic accounting (per CU)
         self.dram_bytes = np.zeros(n, dtype=np.float64)
         # DRAM accesses per 256B region (partition-camping model);
         # only accesses that actually reach DRAM are counted
-        from collections import Counter
-
         self.region_counts: Counter = Counter()
         # profiler counters (cumulative; SimDevice snapshots around each
         # launch to recover per-launch deltas)
@@ -59,9 +78,8 @@ class MemorySystem:
         self.shared_accesses = 0
         self.shared_replays = 0
         self.spill_bytes = 0.0
-        # launch-memo journal of individual dram_bytes adds, or None.
-        # dram_bytes is a float fold whose value is summation-order
-        # sensitive; memo replay re-applies this exact add sequence.
+        # launch-memo journal of dram_bytes adds, or None; memo replay
+        # re-applies this exact add sequence
         self._dram_log: list | None = None
 
     def begin_dram_log(self) -> None:
@@ -71,6 +89,14 @@ class MemorySystem:
         log, self._dram_log = self._dram_log, None
         return log
 
+    def tables(self) -> dict:
+        """The residency tables (every stateful cache), by name."""
+        out = {"const": self.const, "tex": self.tex}
+        if self.spec.has_global_cache:
+            out["l1"] = self.l1
+            out["l2"] = self.l2
+        return out
+
     def cache_groups(self) -> dict:
         """Named cache banks for per-launch profiling.
 
@@ -78,11 +104,8 @@ class MemorySystem:
         transaction is recorded as a miss, which is exactly what the
         hardware does to DRAM.
         """
-        groups = {"const": list(self.const), "tex": list(self.tex)}
-        if self.spec.has_global_cache:
-            groups["l1"] = list(self.l1)
-            groups["l2"] = [self.l2]
-        else:
+        groups = {name: list(t) for name, t in self.tables().items()}
+        if not self.spec.has_global_cache:
             groups["null"] = list(self.l1)
         return groups
 
@@ -126,104 +149,10 @@ class MemorySystem:
             "caches": caches,
         }
 
-    # ------------------------------------------------------------------
-    def access_global(
-        self, cu: int, addrs: np.ndarray, sizes: np.ndarray, is_store: bool
-    ) -> float:
-        """One warp's plain global-space access (ld.global/st.global)."""
-        segs, traffic = coalesce(self.spec, addrs, sizes)
-        segs = segs.tolist()
-        if not self.spec.has_global_cache:
-            return self.charge_dram(
-                cu, 1, max(len(segs), 1), traffic, [b >> 8 for b in segs], is_store
-            )
-        return self.walk_global(cu, segs, [len(segs)], [traffic], is_store)
-
-    def walk_global(
-        self, cu: int, segs: list, counts: list, traffic: list, is_store: bool
-    ) -> float:
-        """L1/L2 walk of consecutive warp rows on one CU, in row order.
-
-        Row ``k`` owns the next ``counts[k]`` coalesced line bases of
-        ``segs`` and moves ``traffic[k]`` bytes.  Returns the per-row
-        costs summed in row order.
-        """
-        t = self.spec.timing
-        l1 = self.l1[cu]
-        l2 = self.l2
-        dram = self.dram_bytes
-        log = self._dram_log
-        regions = self.region_counts
-        cost = 0.0
-        pos = 0
-        for c, tr in zip(counts, traffic):
-            row = segs[pos : pos + c]
-            pos += c
-            nseg = max(c, 1)
-            self.gmem_requests += 1
-            self.gmem_transactions += nseg
-            if is_store:
-                # write-through, fire-and-forget: traffic but little stall
-                dram[cu] += tr
-                if log is not None:
-                    log.append((cu, tr))
-                for b in row:
-                    l2.access(b)
-                cost += t.tx_cycles * nseg
-                continue
-            worst = t.l1_hit
-            per_seg = tr / nseg
-            for b in row:
-                if l1.access(b):
-                    continue
-                if l2.access(b):
-                    worst = max(worst, t.l2_hit)
-                else:
-                    worst = max(worst, t.dram_latency)
-                    dram[cu] += per_seg
-                    if log is not None:
-                        log.append((cu, per_seg))
-                    regions[b >> 8] += 1
-            cost += worst + t.tx_cycles * (nseg - 1)
-        return cost
-
+    # -- record-time resolution ------------------------------------------
     def texture_rows(self, rows: np.ndarray, active, size: int) -> tuple:
         """The 32B texture lines of many warp rows: ``(row, lines)``."""
         return row_lines(rows, active, size, _TEX_LINE)
-
-    def access_texture(self, cu: int, addrs: np.ndarray, sizes: np.ndarray) -> float:
-        """One warp's texture fetch (see :meth:`walk_texture`)."""
-        lines, _ = segments_lines(addrs, sizes, _TEX_LINE)
-        return self.walk_texture(cu, lines.tolist(), [lines.size])
-
-    def walk_texture(self, cu: int, lines: list, counts: list) -> float:
-        """Texture-path reads of consecutive warp rows, in row order.
-
-        A small per-CU cache over global data: this is what makes the
-        irregular gathers of MD/SPMV look regular (paper §IV-B.1) —
-        reuse is captured close to the CU even on GT200, which has no
-        other global-read cache.  Row ``k`` owns the next ``counts[k]``
-        line bases of ``lines``.
-        """
-        t = self.spec.timing
-        tex = self.tex[cu]
-        log = self._dram_log
-        cost = 0.0
-        pos = 0
-        for c in counts:
-            worst = t.tex_hit
-            for b in lines[pos : pos + c]:
-                if not tex.access(b):
-                    worst = max(worst, t.dram_latency)
-                    self.dram_bytes[cu] += _TEX_LINE
-                    if log is not None:
-                        log.append((cu, _TEX_LINE))
-                    self.region_counts[b >> 8] += 1
-            pos += c
-            # the texture pipeline is built for many small scattered
-            # fetches: extra segments are much cheaper than on the L1 path
-            cost += worst + t.tx_cycles * 0.2 * (max(c, 1) - 1)
-        return cost
 
     def const_rows(self, rows: np.ndarray, active) -> tuple:
         """The constant-cache lookups of many warp rows: ``(row, bases)``.
@@ -234,104 +163,231 @@ class MemorySystem:
         row, addrs = row_distinct(rows, active)
         return row, addrs // _CONST_LINE * _CONST_LINE
 
-    def access_const(self, cu: int, addrs: np.ndarray) -> float:
-        """One warp's constant read (see :meth:`walk_const`)."""
-        bases = np.unique(addrs) // _CONST_LINE * _CONST_LINE
-        return self.walk_const(cu, bases.tolist(), [bases.size])
+    # -- batch charging ----------------------------------------------------
+    def charge(self, visits: list, ngr: np.ndarray, cus: list, wpb: int) -> np.ndarray:
+        """Charge a batch's memory visits; returns their costs per block.
 
-    def walk_const(self, cu: int, bases: list, counts: list) -> float:
-        """Constant-cache reads of consecutive warp rows, in row order.
+        ``visits[v]`` is one memory instruction's record over the batch's
+        blocks, whose warp rows are numbered block-major, ``wpb`` rows a
+        block; block ``j`` runs on compute unit ``cus[j]`` and issued
+        ``ngr[v, j]`` warps of visit ``v``.  Records are
+
+        * ``("global", row, bases, widths, is_store)`` — coalesced
+          segments, row by row;
+        * ``("tex", row, lines)`` / ``("const", row, bases)`` — texture
+          lines / constant lookups, row by row;
+        * ``("shared", requests, extra)`` — per-block warp accesses and
+          bank replays beyond the first pass;
+        * ``("local", width)`` — one register spill of ``width`` bytes
+          per thread.
+
+        Cache state, counters, ``dram_bytes`` and ``region_counts`` end
+        exactly as charging block after block, each block's visits in
+        order and each visit's rows in row order, leaves them.  Every
+        cost is an integer-valued sum of integer latencies except a
+        texture row's ``0.2 * tx_cycles`` term, so only texture rows are
+        folded row by row; the rest are summed in any order, exactly.
+        """
+        nb = ngr.shape[1]
+        items = sum(rec[1].size for rec in visits if rec[0] in _STREAM)
+        # consecutive blocks are a contiguous stretch of the block-major
+        # stream, so charging chunk after chunk is the same stream with
+        # a bounded working set
+        step = max(1, nb * _CHUNK_ITEMS // max(items, 1))
+        return np.hstack(
+            [
+                self._charge(
+                    [_blocks_of(rec, lo, lo + step, wpb) for rec in visits],
+                    ngr[:, lo : lo + step], cus[lo : lo + step], wpb,
+                )
+                for lo in range(0, nb, step)
+            ]
+        )
+
+    def _charge(self, visits: list, ngr: np.ndarray, cus: list, wpb: int) -> np.ndarray:
+        t = self.spec.timing
+        nv, nb = ngr.shape
+        cost = np.zeros((nv, nb))
+        cu_of = np.asarray(cus, dtype=np.int64)
+        dram = np.zeros(nb)
+        stream = [(v, rec) for v, rec in enumerate(visits) if rec[0] in _STREAM]
+        regions = []
+        if stream:
+            regions = self._charge_stream(stream, cost, dram, cu_of, wpb)
+        for v, rec in enumerate(visits):
+            if rec[0] == "shared":
+                _, req, extra = rec
+                self.shared_accesses += int(req.sum())
+                if self.spec.local_mem_is_plain_memory:
+                    # CPU device: "local" memory is ordinary cached memory
+                    # — the staging copy is pure overhead (paper §V,
+                    # TranP on Intel920)
+                    cost[v] = t.shared_latency * req
+                else:
+                    self.shared_replays += int(extra.sum())
+                    cost[v] = t.shared_latency * req + extra * 4.0
+            elif rec[0] == "local":
+                # GT200 spills straight to DRAM (interleaved, hence
+                # coalesced); Fermi spills are usually caught by L1
+                issued = ngr[v] > 0
+                traffic = rec[1] * self.spec.warp_width
+                self.spill_bytes += traffic * int(issued.sum())
+                if self.spec.has_global_cache:
+                    cost[v] = t.l1_hit * ngr[v]
+                else:
+                    dram += traffic * issued
+                    cost[v] = (t.dram_latency * 0.5 + t.tx_cycles) * ngr[v]
+        # every add is a whole number of bytes, so the per-CU batch sum
+        # equals the add-by-add fold exactly
+        per_cu = np.bincount(cu_of, weights=dram, minlength=len(self.dram_bytes))
+        self.dram_bytes += per_cu
+        if self._dram_log is not None:
+            self._dram_log.extend((cu, per_cu[cu]) for cu in np.flatnonzero(per_cu).tolist())
+        # a list counts element by element: keys enter in stream order
+        self.region_counts.update(regions)
+        return cost
+
+    def _charge_stream(self, stream, cost, dram, cu_of, wpb) -> list:
+        """The cached-path records of :meth:`charge`; returns the DRAM
+        regions they touch, in stream order."""
+        t = self.spec.timing
+        nv, nb = cost.shape
+        sizes = [rec[1].size for _, rec in stream]
+        n = sum(sizes)
+        if not n:
+            return []
+        vis = np.repeat([v for v, _ in stream], sizes)
+        row = np.concatenate([rec[1] for _, rec in stream])
+        base = np.concatenate([rec[2] for _, rec in stream])
+        width = np.concatenate(
+            [
+                rec[3] if rec[0] == "global"
+                else np.full(rec[1].size, _TEX_LINE if rec[0] == "tex" else _CONST_LINE)
+                for _, rec in stream
+            ]
+        )
+        path = np.repeat(
+            [
+                (_ST if rec[4] else _LD) if rec[0] == "global"
+                else _TEX if rec[0] == "tex" else _CONST
+                for _, rec in stream
+            ],
+            sizes,
+        )
+        blk = row // wpb
+        cu = cu_of[blk]
+        # block-major stream order: (block, visit, row, line)
+        order = np.argsort(blk, kind="stable")
+        po = path[order]
+        # per item: True once it reached DRAM; lat: its latency
+        to_dram = np.zeros(n, dtype=bool)
+        lat = np.zeros(n)
+        if self.spec.has_global_cache:
+            ld = order[po == _LD]
+            l1_hit = np.zeros(n, dtype=bool)
+            l1_hit[ld] = self.l1.resolve(cu[ld], base[ld])
+            # L2 sees L1 load misses and every store, in stream order
+            below = order[((po == _LD) & ~l1_hit[order]) | (po == _ST)]
+            l2_hit = np.zeros(n, dtype=bool)
+            l2_hit[below] = self.l2.resolve(np.zeros(below.size, np.int64), base[below])
+            to_dram[ld] = ~(l1_hit[ld] | l2_hit[ld])
+            lat[ld] = np.where(
+                l1_hit[ld], t.l1_hit, np.where(l2_hit[ld], t.l2_hit, t.dram_latency)
+            )
+        else:
+            # cache-less global path: every transaction goes to DRAM
+            glob = order[(po == _LD) | (po == _ST)]
+            to_dram[glob] = True
+            loads = np.bincount(cu[path == _LD], minlength=len(self.l1)).tolist()
+            for cache, k in zip(self.l1, loads):
+                cache.stats.misses += k
+        for p, table, hit_lat in ((_TEX, self.tex, t.tex_hit), (_CONST, self.const, t.const_hit)):
+            sel = order[po == p]
+            if sel.size:
+                hit = table.resolve(cu[sel], base[sel])
+                to_dram[sel] = ~hit
+                lat[sel] = np.where(hit, hit_lat, t.dram_latency)
+        # write-through stores move their bytes whatever L2 does
+        moved = to_dram | (path == _ST)
+        dram += np.bincount(blk[moved], weights=width[moved], minlength=nb)
+
+        # rows: runs of one (visit, row) in record order
+        new = np.ones(n, dtype=bool)
+        new[1:] = (vis[1:] != vis[:-1]) | (row[1:] != row[:-1])
+        starts = np.flatnonzero(new)
+        nseg = np.diff(np.append(starts, n))
+        r_path = path[starts]
+        worst = np.maximum.reduceat(lat, starts)
+        glob = r_path <= _ST
+        self.gmem_requests += int(glob.sum())
+        self.gmem_transactions += int(nseg[glob].sum())
+        rc = np.where(
+            r_path == _ST,
+            t.tx_cycles * nseg,
+            np.where(
+                r_path == _CONST,
+                np.add.reduceat(lat, starts),
+                (np.maximum(worst, t.l1_hit) if self.spec.has_global_cache else t.dram_latency)
+                + t.tx_cycles * (nseg - 1),
+            ),
+        )
+        key = vis[starts] * nb + blk[starts]
+        tx = r_path == _TEX
+        cost += np.bincount(key[~tx], weights=rc[~tx], minlength=nv * nb).reshape(nv, nb)
+        if tx.any():
+            # the texture pipeline is built for many small scattered
+            # fetches: extra segments are much cheaper than on the L1
+            # path.  0.2 * tx_cycles is fractional, so each block's rows
+            # fold in row order: a sequential cumsum over a (block-visit,
+            # row) grid whose empty slots add 0.0
+            tv, slot = np.unique(vis[starts][tx], return_inverse=True)
+            r = row[starts][tx]
+            grid = np.zeros((tv.size * nb, wpb))
+            grid[slot * nb + r // wpb, r % wpb] = (
+                np.maximum(worst[tx], t.tex_hit) + t.tx_cycles * 0.2 * (nseg[tx] - 1)
+            )
+            cost[tv] = np.cumsum(grid, axis=1)[:, -1].reshape(tv.size, nb)
+        return (base[order[to_dram[order]]] >> 8).tolist()
+
+    # -- one warp ----------------------------------------------------------
+    def _one(self, cu: int, rec: tuple) -> float:
+        """Charge one warp's record as a one-row, one-block batch."""
+        return float(self.charge([rec], np.ones((1, 1), np.int64), [cu], 1)[0, 0])
+
+    def access_global(
+        self, cu: int, addrs: np.ndarray, sizes: np.ndarray, is_store: bool
+    ) -> float:
+        """One warp's plain global-space access (ld.global/st.global)."""
+        bases, widths = coalesce(self.spec, addrs, sizes)
+        row = np.zeros(bases.size, np.int64)
+        return self._one(cu, ("global", row, bases, widths, is_store))
+
+    def access_texture(self, cu: int, addrs: np.ndarray, sizes: np.ndarray) -> float:
+        """One warp's texture fetch.
+
+        A small per-CU cache over global data: this is what makes the
+        irregular gathers of MD/SPMV look regular (paper §IV-B.1) —
+        reuse is captured close to the CU even on GT200, which has no
+        other global-read cache.
+        """
+        lines, _ = segments_lines(addrs, sizes, _TEX_LINE)
+        return self._one(cu, ("tex", np.zeros(lines.size, np.int64), lines))
+
+    def access_const(self, cu: int, addrs: np.ndarray) -> float:
+        """One warp's constant read.
 
         Broadcast when all lanes agree; distinct addresses serialize —
         the defining behaviour of the constant path on every CUDA-class
-        device.  Row ``k`` owns the next ``counts[k]`` entries of
-        ``bases``.
+        device.
         """
-        t = self.spec.timing
-        const = self.const[cu]
-        log = self._dram_log
-        cost = 0.0
-        pos = 0
-        for c in counts:
-            row_cost = 0.0
-            for base in bases[pos : pos + c]:
-                if const.access(base):
-                    row_cost += t.const_hit
-                else:
-                    row_cost += t.dram_latency
-                    self.dram_bytes[cu] += _CONST_LINE
-                    if log is not None:
-                        log.append((cu, _CONST_LINE))
-                    self.region_counts[base >> 8] += 1
-            pos += c
-            cost += row_cost
-        return cost
-
-    def charge_dram(
-        self,
-        cu: int,
-        requests: int,
-        nseg: int,
-        traffic: int,
-        regions: list,
-        is_store: bool,
-    ) -> float:
-        """Charge ``requests`` warp accesses on a cache-less global path.
-
-        ``nseg`` transactions move ``traffic`` bytes straight to or from
-        DRAM; ``regions`` lists each transaction's 256B region in issue
-        order.  Every term is stateless, so one call may stand for all of
-        a block's warp rows of one instruction: with integer-valued
-        ``dram_latency``/``tx_cycles`` the returned cost equals the sum
-        of the per-row costs exactly.
-        """
-        t = self.spec.timing
-        self.gmem_requests += requests
-        self.gmem_transactions += nseg
-        self.dram_bytes[cu] += traffic
-        if self._dram_log is not None:
-            self._dram_log.append((cu, traffic))
-        # Counter.update over a list counts element by element, so keys
-        # enter region_counts in exactly the per-transaction order
-        self.region_counts.update(regions)
-        if is_store:
-            # write-through, fire-and-forget: traffic but little stall
-            return t.tx_cycles * nseg
-        self.l1[cu].stats.misses += nseg  # null path: all misses
-        return t.dram_latency * requests + t.tx_cycles * (nseg - requests)
-
-    def charge_shared(self, cu: int, requests: int, extra: int) -> float:
-        """Charge ``requests`` banked shared/local-memory warp accesses.
-
-        ``extra`` is their summed bank replays beyond the first pass
-        (:func:`~repro.arch.banks.bank_replays` minus one per row).  Like
-        :meth:`charge_dram` one call may stand for a whole block's rows.
-        """
-        t = self.spec.timing
-        self.shared_accesses += requests
-        if self.spec.local_mem_is_plain_memory:
-            # CPU device: "local" memory is ordinary cached memory — the
-            # staging copy is pure overhead (paper §V, TranP on Intel920)
-            return t.shared_latency * requests
-        self.shared_replays += extra
-        return t.shared_latency * requests + extra * 4.0
+        bases = np.unique(addrs) // _CONST_LINE * _CONST_LINE
+        return self._one(cu, ("const", np.zeros(bases.size, np.int64), bases))
 
     def access_shared(self, cu: int, addrs: np.ndarray) -> float:
         """One warp's banked shared/local-memory access."""
-        return self.charge_shared(cu, 1, bank_conflicts(self.spec, addrs) - 1)
+        extra = np.array([bank_conflicts(self.spec, addrs) - 1])
+        return self._one(cu, ("shared", np.ones(1, np.int64), extra))
 
     def access_local(self, cu: int, nbytes_per_thread: int, width: int) -> float:
-        """Register-spill traffic (``ld.local``/``st.local``).
-
-        GT200 spills straight to DRAM (interleaved, hence coalesced);
-        Fermi spills are usually caught by L1.
-        """
-        t = self.spec.timing
-        traffic = width * self.spec.warp_width
-        self.spill_bytes += traffic
-        if self.spec.has_global_cache:
-            return t.l1_hit
-        self.dram_bytes[cu] += traffic
-        if self._dram_log is not None:
-            self._dram_log.append((cu, traffic))
-        return t.dram_latency * 0.5 + t.tx_cycles
+        """Register-spill traffic (``ld.local``/``st.local``)."""
+        return self._one(cu, ("local", width))

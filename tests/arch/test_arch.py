@@ -103,13 +103,13 @@ class TestCoalescing:
     def test_coalesce_returns_traffic(self):
         addrs = np.arange(32, dtype=np.int64) * 4
         sizes = np.full(32, 4, dtype=np.int64)
-        _, bytes_gt = coalesce(GTX280, addrs, sizes)
-        _, bytes_fermi = coalesce(GTX480, addrs, sizes)
+        bytes_gt = coalesce(GTX280, addrs, sizes)[1].sum()
+        bytes_fermi = coalesce(GTX480, addrs, sizes)[1].sum()
         assert bytes_gt == 128 and bytes_fermi == 128
 
     def test_empty_access(self):
         a = np.array([], dtype=np.int64)
-        _, traffic = coalesce(GTX480, a, a)
+        traffic = coalesce(GTX480, a, a)[1].sum()
         assert traffic == 0
 
 

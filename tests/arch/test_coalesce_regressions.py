@@ -35,7 +35,7 @@ class TestGT200StraddleRegression:
     def test_straddle_traffic_counted(self):
         addrs = np.array([124], dtype=np.int64)
         sizes = np.array([8], dtype=np.int64)
-        _, traffic = coalesce(GTX280, addrs, sizes)
+        traffic = coalesce(GTX280, addrs, sizes)[1].sum()
         # two shrunk 32B transactions, not one
         assert traffic == 64
 
@@ -88,7 +88,7 @@ class TestFermiLineSpanRegression:
     def test_fermi_traffic_counts_middle_lines(self):
         addrs = np.array([0], dtype=np.int64)
         sizes = np.array([300], dtype=np.int64)
-        _, traffic = coalesce(GTX480, addrs, sizes)
+        traffic = coalesce(GTX480, addrs, sizes)[1].sum()
         assert traffic == 3 * 128
 
     def test_duplicate_lines_still_deduplicated(self):

@@ -1,15 +1,16 @@
 """The interpreter's bulk memory charges against the per-warp oracles.
 
-``GridRunner`` resolves shared-memory bank replays and cache-less global
-coalescing for every warp row of an instruction in one vectorized pass
-(:func:`repro.arch.row_segments`, :func:`repro.arch.bank_replays`) and
-charges each block once; texture and constant lookups are resolved the
-same way before their per-row cache walks.  Here random warp rows —
+``GridRunner`` resolves shared-memory bank replays, global coalescing,
+texture lines and constant lookups for every warp row of an instruction
+in one vectorized pass (:func:`repro.arch.row_segments`,
+:func:`repro.arch.bank_replays`), and ``MemorySystem.charge`` charges
+the records of a whole batch at once.  Here random warp rows —
 strided, scattered and 128B-straddling addresses of every access width,
 under full, partial and empty lane masks — must resolve row by row
 exactly as ``segments_gt200`` / ``segments_lines`` / ``bank_conflicts``
 do, and each block's charge must equal the per-row cost formula summed
-over its rows, counters and region order included.
+over its rows (on the cached path: one warp access after another),
+counters and region order included.
 """
 from collections import Counter
 
@@ -125,54 +126,45 @@ def test_bulk_resolution_matches_per_warp_oracles(spec, data):
         assert cbases[crow == r].tolist() == (np.unique(lanes) // 64 * 64).tolist()
 
 
+def _charge(spec, rec, nb, nwpb):
+    """Charge one visit's record for ``nb`` blocks on CUs 0, 1, ..."""
+    ms = MemorySystem(spec)
+    cus = [j % spec.compute_units for j in range(nb)]
+    cost = ms.charge([rec], np.ones((1, nb), np.int64), cus, nwpb)
+    return ms, cus, cost[0]
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 @pytest.mark.parametrize("is_store", [False, True], ids=["ld", "st"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_global_block_charge_is_the_per_row_sum(spec, is_store, data):
     addrs, active, size, nb, nwpb = data.draw(warp_batches(spec.warp_width))
-    fn, per_block = _runner(spec, nb, nwpb)._global_charge(
-        addrs, active, size, is_store, nb
-    )
+    rec = ("global",) + row_segments(spec, addrs, active, size) + (is_store,)
+    ms, cus, cost = _charge(spec, rec, nb, nwpb)
     t = spec.timing
+    ref = MemorySystem(spec)
+    nseg = requests = 0
+    regions: Counter = Counter()
     for j in range(nb):
         rows = []
         for r in range(j * nwpb, (j + 1) * nwpb):
             lanes = _row_lanes(addrs, active, r)
             if lanes.size:
                 rows.append(_oracle_segments(spec, lanes, size))
-        if not rows:
-            assert per_block[j] is None
-            continue
-        cu = j % spec.compute_units
-        ms = MemorySystem(spec)
-        cost = getattr(ms, fn.__name__)(cu, *per_block[j])
         if spec.has_global_cache:
-            # the L1/L2 walk stays per row: the block's rows, in order,
-            # cost what one warp access after another costs
-            assert per_block[j][:3] == (
-                [b for seg, _ in rows for b in seg.tolist()],
-                [seg.size for seg, _ in rows],
-                [int(w.sum()) for _, w in rows],
-            )
-            ref = MemorySystem(spec)
+            # the cached path charges what one warp access after another
+            # costs, block by block and row by row
+            # (one 1-byte lane per line base coalesces to that line)
             want = 0.0
-            for seg, w in rows:
-                want += ref.walk_global(
-                    cu, seg.tolist(), [seg.size], [int(w.sum())], is_store
+            for seg, _ in rows:
+                want += ref.access_global(
+                    cus[j], seg, np.ones(seg.size, np.int64), is_store
                 )
-            assert cost == want
-            state = lambda m: (  # noqa: E731
-                m.gmem_requests,
-                m.gmem_transactions,
-                m.dram_bytes.tolist(),
-                list(m.region_counts.items()),
-            )
-            assert state(ms) == state(ref)
+            assert cost[j] == want
             continue
         # the per-row formula, accumulated row by row as a float
         want = 0.0
-        regions: Counter = Counter()
         for b, w in rows:
             n = b.size
             want += (
@@ -182,13 +174,24 @@ def test_global_block_charge_is_the_per_row_sum(spec, is_store, data):
             )
             for base in b.tolist():
                 regions[base >> 8] += 1
-        nseg = sum(b.size for b, _ in rows)
-        assert cost == want
-        assert ms.gmem_requests == len(rows)
-        assert ms.gmem_transactions == nseg
-        assert ms.dram_bytes[cu] == sum(int(w.sum()) for _, w in rows)
-        assert list(ms.region_counts.items()) == list(regions.items())
-        assert ms.l1[cu].stats.misses == (0 if is_store else nseg)
+        requests += len(rows)
+        nseg += sum(b.size for b, _ in rows)
+        assert cost[j] == want
+        assert ms.dram_bytes[cus[j]] == sum(int(w.sum()) for _, w in rows)
+        assert ms.l1[cus[j]].stats.misses == (0 if is_store else sum(b.size for b, _ in rows))
+    if spec.has_global_cache:
+        state = lambda m: (  # noqa: E731
+            m.gmem_requests,
+            m.gmem_transactions,
+            m.dram_bytes.tolist(),
+            list(m.region_counts.items()),
+            [c.stats.snapshot() for c in list(m.l1) + list(m.l2)],
+        )
+        assert state(ms) == state(ref)
+        return
+    assert ms.gmem_requests == requests
+    assert ms.gmem_transactions == nseg
+    assert list(ms.region_counts.items()) == list(regions.items())
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
@@ -196,8 +199,11 @@ def test_global_block_charge_is_the_per_row_sum(spec, is_store, data):
 @given(data=st.data())
 def test_shared_block_charge_is_the_per_row_sum(spec, data):
     addrs, active, _, nb, nwpb = data.draw(warp_batches(spec.warp_width))
-    fn, per_block = _runner(spec, nb, nwpb)._shared_charge(addrs, active, nb)
+    rec = _runner(spec, nb, nwpb)._shared_charge(addrs, active, nb)
+    ms, _, cost = _charge(spec, rec, nb, nwpb)
     t = spec.timing
+    plain = spec.local_mem_is_plain_memory
+    accesses = replays = 0
     for j in range(nb):
         reps = [
             bank_conflicts(spec, lanes)
@@ -207,15 +213,11 @@ def test_shared_block_charge_is_the_per_row_sum(spec, data):
             )
             if lanes.size
         ]
-        if not reps:
-            assert per_block[j] is None
-            continue
-        ms = MemorySystem(spec)
-        cost = getattr(ms, fn.__name__)(0, *per_block[j])
-        plain = spec.local_mem_is_plain_memory
         want = 0.0
         for rep in reps:
             want += t.shared_latency + (0 if plain else (rep - 1) * 4.0)
-        assert cost == want
-        assert ms.shared_accesses == len(reps)
-        assert ms.shared_replays == (0 if plain else sum(r - 1 for r in reps))
+        assert cost[j] == want
+        accesses += len(reps)
+        replays += 0 if plain else sum(r - 1 for r in reps)
+    assert ms.shared_accesses == accesses
+    assert ms.shared_replays == replays

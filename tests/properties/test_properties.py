@@ -140,7 +140,8 @@ def test_coalescer_covers_all_accesses(raw):
     addrs = np.array(sorted(a * 4 for a in raw), dtype=np.int64)
     sizes = np.full(addrs.size, 4, dtype=np.int64)
     for spec in (GTX280, GTX480):
-        bases, traffic = coalesce(spec, addrs, sizes)
+        bases, widths = coalesce(spec, addrs, sizes)
+        traffic = widths.sum()
         assert traffic >= addrs.size * 0  # non-negative
         if spec is GTX480:
             # every access falls inside some returned line
@@ -260,7 +261,8 @@ def test_scan_matches_cumsum_for_any_seed(seed):
 import contextlib
 import os
 
-from repro.arch import CELLBE
+from repro.arch import CELLBE, INTEL920
+from repro.kir import AddrSpace
 
 
 @contextlib.contextmanager
@@ -281,14 +283,14 @@ def _sim_env(batch=None, memo=False):
                 os.environ[k] = v
 
 
-def _launch_series(spec, ptx, data, repeats):
+def _launch_series(spec, ptx, data, repeats, dev=None, extra=None, grid=5):
     """Launch ``repeats`` times; return every observable number."""
-    dev = SimDevice(spec)
+    dev = dev or SimDevice(spec)
     pa, po = dev.alloc(data.nbytes), dev.alloc(data.nbytes)
     dev.upload(pa, data)
     series = []
     for _ in range(repeats):
-        r = dev.launch(ptx, 5, 48, {"a": pa, "o": po})
+        r = dev.launch(ptx, grid, 48, {"a": pa, "o": po, **(extra or {})})
         series.append(
             (
                 r.timing.total_s,
@@ -348,6 +350,72 @@ def test_batched_and_memoized_execution_bit_identical(
         batched = _launch_series(spec, ptx, A, repeats=4)
     with _sim_env(batch=None, memo=True):
         memoized = _launch_series(spec, ptx, A, repeats=4)
+
+    assert batched == per_block
+    assert memoized == per_block
+
+
+def _cache_paths_kernel(spec):
+    """Reads through every cache path the device runs.
+
+    Global, constant and shared reads everywhere, plus texture gathers
+    on the CUDA devices (OpenCL has no texture fetch).  The gathers and
+    the constant indices follow the loaded data, so random inputs give
+    random hit/miss patterns; each cache sees two visits per block, so
+    the order of blocks' visits on a shared CU matters.  The shared
+    exchange reads a neighbour's slot after a barrier.
+    """
+    cuda = spec.supports_cuda()
+    k = KernelBuilder("cachepaths", CUDA if cuda else OPENCL)
+    a = k.buffer("a", Scalar.S32)
+    c = k.buffer("c", Scalar.S32, AddrSpace.CONST)
+    o = k.buffer("o", Scalar.S32)
+    sh = k.shared("sh", Scalar.S32, 48)
+    t = k.let("t", k.global_id(0), Scalar.S32)
+    lid = k.let("lid", k.tid.x, Scalar.S32)
+    v = k.let("v", a[t])
+    g = k.let("g", a[(v * 11) & 1023])
+    w = k.let("w", k.texload(a, (v * 7) & 1023) + k.texload(a, (g * 3) & 1023) if cuda else g)
+    u = k.let("u", c[(v * 37) & 1023] + c[(g >> 3) & 1023])
+    k.store(sh, lid, v + w)
+    k.barrier()
+    k.store(o, t, sh[(lid + 1) % 48] + u)
+    return (compile_cuda if cuda else compile_opencl)(k.finish(), max_regs=63)
+
+
+@pytest.mark.parametrize("spec", [GTX480, GTX280, INTEL920, CELLBE], ids=lambda s: s.name)
+@settings(
+    max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cache_paths_batched_and_memoized_bit_identical(spec, seed):
+    """Per-block, batched and memoized runs agree on every cache path.
+
+    Texture (GTX480, GTX280), constant, shared and — on GTX480 and
+    Intel920 — L1/L2 reads carry cache state from launch to launch over
+    the four repeats.  40 blocks make one batch in which several blocks
+    share each CU, so the batch-wide charge must leave the caches
+    exactly as per-block execution does.
+    """
+    ptx = _cache_paths_kernel(spec)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-1000, 1000, 40 * 48).astype(np.int32)
+    C = rng.integers(-50, 50, 1024).astype(np.int32)
+
+    def series():
+        dev = SimDevice(spec)
+        pc = dev.alloc(C.nbytes)
+        dev.upload(pc, C)
+        return _launch_series(
+            spec, ptx, A, repeats=4, dev=dev, extra={"c": pc}, grid=40
+        )
+
+    with _sim_env(batch=1, memo=False):
+        per_block = series()
+    with _sim_env(batch=None, memo=False):
+        batched = series()
+    with _sim_env(batch=None, memo=True):
+        memoized = series()
 
     assert batched == per_block
     assert memoized == per_block

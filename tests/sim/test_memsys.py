@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from repro.arch import ALL_DEVICES, CELLBE, GTX280, GTX480, INTEL920
+from repro.compiler import compile_cuda
+from repro.kir import AddrSpace, CUDA, KernelBuilder, Scalar
+from repro.sim import SimDevice
 from repro.sim.memsys import MemorySystem
 
 
@@ -136,12 +139,58 @@ class TestLocalSpillPath:
 
 @pytest.mark.parametrize("spec", ALL_DEVICES.values(), ids=lambda s: s.name)
 def test_bulk_constants_are_integers(spec):
-    """The interpreter charges shared and cache-less global accesses once
-    per block (``charge_shared``/``charge_dram`` with many rows).  That
-    sum equals the per-row float fold only because every latency in it
-    is integer-valued; a fractional constant would move the timing model
-    by an ulp, so it must fail here first."""
+    """``MemorySystem.charge`` sums a batch's memory costs per (visit,
+    block) in whatever order numpy adds them: L1/L2 rows
+    (``l1_hit``, ``l2_hit``, ``dram_latency``, ``tx_cycles``), constant
+    lookups (``const_hit``), shared banks (``shared_latency``) and the
+    cache-less global path.  Those sums equal the per-row float fold
+    only because every latency in them is integer-valued; a fractional
+    constant would move the timing model by an ulp, so it must fail here
+    first.  Texture rows are the exception that keeps a row-ordered
+    fold: ``tex_hit`` plus ``0.2 * tx_cycles`` per extra line is
+    fractional."""
     t = spec.timing
-    for name in ("dram_latency", "tx_cycles", "shared_latency"):
+    for name in (
+        "dram_latency", "tx_cycles", "shared_latency", "l1_hit", "l2_hit", "const_hit",
+    ):
         value = getattr(t, name)
         assert float(value).is_integer(), f"{spec.name}.{name} = {value}"
+
+
+def _traffic_kernel():
+    """Global loads and stores, a constant read and a register spill."""
+    k = KernelBuilder("traffic", CUDA)
+    a = k.buffer("a", Scalar.F32)
+    c = k.buffer("c", Scalar.F32, AddrSpace.CONST)
+    o = k.buffer("o", Scalar.F32)
+    i = k.let("i", k.global_id(0), Scalar.S32)
+    # many live loaded values: a 12-register budget spills them
+    vals = [k.let(f"v{j}", a[(i * 3 + j) % 1000]) for j in range(24)]
+    total = vals[0] * c[i % 7]
+    for v in vals[1:]:
+        total = total + v
+    k.store(o, i, total)
+    return k.finish()
+
+
+@pytest.mark.parametrize("spec", [GTX480, INTEL920], ids=lambda s: s.name)
+def test_dram_adds_are_integers(spec):
+    """Every ``dram_bytes`` add of a launch is a whole number of bytes.
+
+    ``charge`` adds one per-CU sum per batch, which equals the add-by-add
+    fold only while every add is integer-valued (one cached segment is
+    one line); the launch memo replays these adds.
+    """
+    ptx = compile_cuda(_traffic_kernel(), max_regs=12)
+    dev = SimDevice(spec, memoize=False)
+    data = np.linspace(-3, 3, 1000).astype(np.float32)
+    pa, pc, po = dev.alloc(data.nbytes), dev.alloc(28), dev.alloc(data.nbytes)
+    dev.upload(pa, data)
+    dev.upload(pc, np.arange(7, dtype=np.float32))
+    dev.memsys.begin_dram_log()
+    for _ in range(2):
+        dev.launch(ptx, 8, 96, {"a": pa, "c": pc, "o": po})
+    log = dev.memsys.end_dram_log()
+    assert log and all(float(amount).is_integer() for _, amount in log)
+    assert dev.memsys.spill_bytes > 0
+    assert sum(amount for _, amount in log) == dev.memsys.dram_bytes.sum()
