@@ -1,19 +1,21 @@
 """repro.bench — the continuous-benchmark regression gate.
 
-``python -m repro.bench`` runs the small sweep cold (fresh cache) and
-warm (second pass over the same cache), snapshots the telemetry
-metrics, and writes ``BENCH_<tag>.json`` — one point of the repo's
-perf trajectory.  Against a committed baseline it compares every
-gated metric within a per-metric tolerance and exits non-zero on
-regression.
+``python -m repro.bench`` runs the small sweep once in a fresh cache,
+snapshots the telemetry metrics, and writes ``BENCH_<tag>.json``.
+Against a committed baseline it compares every metric within a
+per-metric tolerance and exits non-zero on regression.
 
 What gets gated is chosen for cross-machine stability: the simulator
-runs on a *virtual* clock, so simulated kernel seconds, launch counts,
-launch-overhead totals, DRAM traffic, and warp-instruction counts are
-bit-stable across hosts, job counts, and scheduling — any drift means
-the model (or the harness) changed, which is exactly what the gate is
-for.  Wall-clock numbers (cold/warm sweep seconds) are recorded with
-``tolerance: null``: informational trend data, never a CI failure.
+runs on a *virtual* clock, so any drift means the model (or the
+harness) changed, which is exactly what the gate is for.  The counts
+(units, launches, DRAM bytes, warp instructions) are bit-stable across
+hosts, job counts and scheduling.  The float sums (simulated kernel
+seconds, launch-overhead totals) are not: they add per-launch values
+in completion order, so job counts differ in the last bits (fig1 +
+fig8 + table6 at ``--size small``: the ``sim.kernel_s`` sum reads
+0.00611166182266272 at ``--jobs 1`` and 0.006111661822662725 at
+``--jobs 2``).  Their 1% tolerance exists to absorb that.
+Wall time is not measured here; ``perfbench/`` owns it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import json
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional
 
 from .. import durable
 from .._version import __version__
@@ -38,21 +39,12 @@ __all__ = [
     "write_bench",
     "load_bench",
     "default_baseline_path",
-    "HISTORY_SCHEMA",
-    "default_history_path",
-    "history_record",
-    "append_history",
-    "load_history",
 ]
 
 SCHEMA_VERSION = 1
 
-#: layout version of one BENCH_history.jsonl record
-HISTORY_SCHEMA = 1
-
-#: gated metric -> relative tolerance.  The virtual-clock metrics are
-#: deterministic, so the tolerance only absorbs float summation noise;
-#: ``None`` marks informational (never-failing) wall-clock metrics.
+#: gated metric -> relative tolerance.  Counts gate exactly; the float
+#: sums' tolerance only absorbs summation-order noise.
 DEFAULT_TOLERANCES = {
     "units.total": 0.0,
     "units.failed": 0.0,
@@ -64,8 +56,6 @@ DEFAULT_TOLERANCES = {
     "launch.cuda.overhead_s": 0.01,
     "launch.opencl.count": 0.0,
     "launch.opencl.overhead_s": 0.01,
-    "wall.cold_s": None,
-    "wall.warm_s": None,
 }
 
 
@@ -90,12 +80,11 @@ def run_bench(
     experiments=None,
     progress="off",
 ) -> dict:
-    """Run the sweep cold + warm and return ``{metric: value}``.
+    """Run the sweep from a fresh cache and return ``{metric: value}``.
 
     Runs in a throwaway cache directory and a fresh metrics registry so
     the numbers are scoped to this run regardless of ambient state.
-    The active tracer (if any) sees the whole thing as two spans,
-    ``bench.cold`` and ``bench.warm``.
+    The active tracer (if any) sees the run as one ``bench.sweep`` span.
     """
     from .. import exec as rexec
     from ..experiments import EXPERIMENTS
@@ -105,24 +94,10 @@ def run_bench(
     units = collect_units(names, size)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir, \
             tmetrics.use_registry() as reg:
-        with tspans.span("bench.cold", "engine", units=len(units), jobs=jobs):
-            t0 = time.perf_counter()
-            ex = rexec.SweepExecutor(
-                jobs=jobs, cache=cache_dir, progress=progress,
-                adaptive_jobs=True,
-            )
+        with tspans.span("bench.sweep", "engine", units=len(units), jobs=jobs):
+            ex = rexec.SweepExecutor(jobs=jobs, cache=cache_dir, progress=progress)
             with rexec.use_executor(ex):
                 ex.prewarm(units)
-            cold_s = time.perf_counter() - t0
-        with tspans.span("bench.warm", "engine", units=len(units)):
-            t0 = time.perf_counter()
-            ex2 = rexec.SweepExecutor(
-                jobs=jobs, cache=cache_dir, progress=progress,
-                adaptive_jobs=True,
-            )
-            with rexec.use_executor(ex2):
-                ex2.prewarm(units)
-            warm_s = time.perf_counter() - t0
         snap = reg.snapshot()
         failed = len(ex.stats.failures)
     return {
@@ -140,22 +115,11 @@ def run_bench(
         "launch.opencl.overhead_s": _counter_value(
             snap, "runtime.opencl.launch_overhead_s"
         ),
-        "wall.cold_s": cold_s,
-        "wall.warm_s": warm_s,
     }
 
 
-def make_payload(
-    values: dict,
-    tag: str,
-    size: str,
-    jobs: int,
-    tolerances: Optional[dict] = None,
-) -> dict:
+def make_payload(values: dict, tag: str, size: str, jobs: int) -> dict:
     """The ``BENCH_<tag>.json`` document for a finished run."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     return {
         "schema": SCHEMA_VERSION,
         "tag": tag,
@@ -165,7 +129,7 @@ def make_payload(
         "git_sha": git_sha(),
         "created_unix": time.time(),
         "metrics": {
-            name: {"value": values[name], "tolerance": tol.get(name)}
+            name: {"value": values[name], "tolerance": DEFAULT_TOLERANCES[name]}
             for name in sorted(values)
         },
     }
@@ -187,71 +151,19 @@ def load_bench(path) -> dict:
     return payload
 
 
-# -- bench history ---------------------------------------------------------
-def default_history_path() -> Path:
-    """The committed trajectory: ``benchmarks/BENCH_history.jsonl``."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_history.jsonl"
-
-
-def history_record(payload: dict) -> dict:
-    """One append-only trajectory point, slimmed from a bench payload.
-
-    Metrics flatten to plain ``{name: value}`` (tolerances live with
-    the baseline, not the trajectory) so a record stays one short line
-    and ``repro.obs regress --history`` can diff any two points.
-    """
-    return {
-        "schema": HISTORY_SCHEMA,
-        "tag": payload.get("tag"),
-        "size": payload.get("size"),
-        "jobs": payload.get("jobs"),
-        "version": payload.get("version"),
-        "git_sha": payload.get("git_sha"),
-        "created_unix": payload.get("created_unix"),
-        "metrics": {
-            name: m["value"] for name, m in sorted(
-                (payload.get("metrics") or {}).items()
-            )
-        },
-    }
-
-
-def append_history(payload: dict, path=None) -> Path:
-    """Append one bench run to the trajectory file (JSONL, one line)."""
-    path = Path(path) if path is not None else default_history_path()
-    with durable.Log(path) as history:
-        history.append(history_record(payload))
-    return path
-
-
-def load_history(path=None) -> list:
-    """Every parseable trajectory record, in file order.
-
-    Torn or foreign-schema lines are skipped, never fatal — the file is
-    appended by many CI runs and a truncated tail must not break the
-    tooling reading it.
-    """
-    path = Path(path) if path is not None else default_history_path()
-    try:
-        records, _ = durable.replay(path)
-    except OSError:
-        return []
-    return [r for r in records if r.get("schema") == HISTORY_SCHEMA]
-
-
 def compare(current: dict, baseline: dict) -> list:
     """Compare two bench payloads; one row dict per baseline metric.
 
     Row statuses: ``ok`` (within tolerance), ``regression`` (outside
     tolerance, both directions — for deterministic metrics *any* drift
-    means behaviour changed), ``info`` (tolerance is null), ``missing``
-    (metric vanished from the current run; fails the gate).
+    means behaviour changed), ``missing`` (metric vanished from the
+    current run; fails the gate).
     """
     cur = current.get("metrics", {})
     rows = []
     for name in sorted(baseline.get("metrics", {})):
         base = baseline["metrics"][name]
-        tol = base.get("tolerance")
+        tol = base["tolerance"]
         b = float(base["value"])
         if name not in cur:
             rows.append(
@@ -261,13 +173,10 @@ def compare(current: dict, baseline: dict) -> list:
             continue
         c = float(cur[name]["value"])
         delta = c - b
-        if tol is None:
-            status = "info"
-        else:
-            # relative band around the baseline, with an absolute floor
-            # so a zero baseline still tolerates float dust
-            allowed = tol * max(abs(b), 1.0) + 1e-9
-            status = "ok" if abs(delta) <= allowed else "regression"
+        # relative band around the baseline, with an absolute floor so
+        # a zero baseline still tolerates float dust
+        allowed = tol * max(abs(b), 1.0) + 1e-9
+        status = "ok" if abs(delta) <= allowed else "regression"
         rows.append(
             {"metric": name, "baseline": b, "current": c,
              "tolerance": tol, "status": status, "delta": delta}
@@ -301,9 +210,8 @@ def render_report(rows, tag: str = "bench") -> str:
         "-" * len(head),
     ]
     for r in rows:
-        tol = "-" if r["tolerance"] is None else f"{r['tolerance']:.0%}"
         lines.append(
             f"{r['metric']:<{width}} {_fmt(r['baseline']):>14} "
-            f"{_fmt(r['current']):>14} {tol:>6} {r['status']:>10}"
+            f"{_fmt(r['current']):>14} {r['tolerance']:>6.0%} {r['status']:>10}"
         )
     return "\n".join(lines)

@@ -4,9 +4,8 @@
     python -m repro.bench --update-baseline      # refresh the baseline
     python -m repro.bench --compare BENCH_small.json   # re-gate a file
 
-Writes ``BENCH_<tag>.json`` (one point of the repo's perf trajectory)
-and exits 1 when any gated metric regresses beyond its tolerance, 2
-when no baseline exists to gate against.
+Writes ``BENCH_<tag>.json`` and exits 1 when any gated metric regresses
+beyond its tolerance, 2 when no baseline exists to gate against.
 """
 from __future__ import annotations
 
@@ -16,10 +15,8 @@ import sys
 from .. import telemetry
 from ..telemetry import spans as tspans
 from . import (
-    append_history,
     compare,
     default_baseline_path,
-    default_history_path,
     load_bench,
     make_payload,
     regressions,
@@ -63,11 +60,6 @@ def main(argv=None) -> int:
         "--compare", default=None, metavar="FILE",
         help="gate an existing BENCH_*.json instead of running the sweep",
     )
-    ap.add_argument(
-        "--record-history", nargs="?", const="", default=None, metavar="FILE",
-        help="append this run to the bench trajectory (default file: "
-        "benchmarks/BENCH_history.jsonl)",
-    )
     telemetry.add_telemetry_arguments(ap)
     args = ap.parse_args(argv)
 
@@ -91,12 +83,6 @@ def main(argv=None) -> int:
         print(f"bench: wrote {out}", file=sys.stderr)
 
     telemetry.finish_run(args, tr, "repro.bench")
-
-    if args.record_history is not None:
-        hpath = append_history(
-            current, args.record_history or default_history_path()
-        )
-        print(f"bench: appended to trajectory {hpath}", file=sys.stderr)
 
     if args.update_baseline:
         write_bench(current, baseline_path)

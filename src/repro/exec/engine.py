@@ -54,7 +54,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
-import os
 import signal
 import threading
 import time
@@ -358,18 +357,13 @@ class SweepExecutor:
         retries: int = 2,
         backoff: float = 0.05,
         faults=None,
-        progress: bool = True,
+        progress: str = "auto",
         journal=None,
         resumed=None,
         grace: float = 30.0,
         demote_after: int = 3,
-        adaptive_jobs: bool = False,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        #: clamp pool fan-out to the machine's core count; workers past
-        #: it add fork/pickle/scheduling overhead with zero throughput
-        #: (opt-in: fault-injection callers want real workers regardless)
-        self.adaptive_jobs = bool(adaptive_jobs)
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache: Optional[ResultCache] = cache
@@ -383,12 +377,8 @@ class SweepExecutor:
         )
         self.stats = SweepStats()
         #: progress-meter mode during prewarm: "auto" (TTY-gated live
-        #: line), "plain" (periodic lines for CI logs), "off"; bools are
-        #: accepted for back-compat (True -> auto, False -> off)
-        if isinstance(progress, str):
-            self.progress = progress
-        else:
-            self.progress = "auto" if progress else "off"
+        #: line), "plain" (periodic lines for CI logs), "off"
+        self.progress = progress
         self._progress_line: Optional[ProgressLine] = None
         self._mem: dict = {}  # digest -> payload
         self._digests: dict = {}  # WorkUnit -> digest
@@ -676,11 +666,6 @@ class SweepExecutor:
         remaining units always complete.
         """
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if self.adaptive_jobs and jobs > 1:
-            hw = os.cpu_count() or 1
-            if jobs > hw:
-                metrics.gauge("exec.pool.jobs_clamped").set(jobs - hw)
-                jobs = hw
         units = list(units)
         todo: dict = {}
         seen: set = set()

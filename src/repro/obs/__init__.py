@@ -5,7 +5,7 @@ per-run journal WAL (with periodic heartbeat records), the per-run
 metrics snapshot the heartbeat thread flushes, and — on request — the
 merged chrome trace.  ``repro.obs`` is the read side: a CLI
 (``python -m repro.obs``) that turns those artifacts into live status,
-fleet overviews, Prometheus-scrapable metrics, and regression
+fleet overviews, Prometheus-scrapable metrics, and wall-clock
 attribution *without any cooperation from the sweep process*, so it
 works equally against a running, hung, crashed, or finished run.
 
@@ -18,8 +18,7 @@ Subcommands (see :mod:`repro.obs.__main__`):
   ``--once`` emits one byte-deterministic snapshot instead;
 * ``metrics`` — the run's metrics snapshot as an OpenMetrics
   textfile (``--check`` lints it);
-* ``critpath`` — per-phase wall attribution of a merged trace;
-* ``regress`` — drift attribution between two bench snapshots.
+* ``critpath`` — per-phase wall attribution of a merged trace.
 """
 from __future__ import annotations
 

@@ -6,7 +6,6 @@
     python -m repro.obs watch --latest --once      # deterministic snapshot
     python -m repro.obs metrics --latest --check   # OpenMetrics textfile
     python -m repro.obs critpath trace.json        # wall-clock attribution
-    python -m repro.obs regress A.json B.json      # bench drift attribution
 
 Everything reads artifacts the engine already wrote durably (journal
 WAL, heartbeat records, metrics snapshots, merged traces) — a hung or
@@ -17,8 +16,8 @@ so their bytes depend only on journal contents — the property the
 golden-file tests and CI assertions rely on.  Live modes use the wall
 clock, which is what makes heartbeat-staleness detection meaningful.
 
-Exits 0 on success; 1 when ``metrics --check`` finds lint problems or
-``regress`` finds a regression; 2 on bad usage.
+Exits 0 on success; 1 when ``metrics --check`` finds lint problems; 2
+on bad usage.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .. import exec as rexec
 from ..telemetry import metrics as tmetrics
 from . import critpath as cp
 from . import openmetrics as om
-from . import regress as rg
 from .registry import find_run, runs
 from .render import render_ls, render_serve, render_status
 
@@ -203,47 +201,6 @@ def _cmd_critpath(args) -> int:
     return 0
 
 
-def _load_bench_point(path: str):
-    """A BENCH_*.json payload, or the last record of a history jsonl."""
-    if not path.endswith(".jsonl"):
-        with open(path) as f:
-            return json.load(f), path
-    from ..bench import load_history
-
-    records = load_history(path)
-    if not records:
-        raise SystemExit(f"{path}: empty bench history")
-    return records[-1], f"{path}[-1]"
-
-
-def _cmd_regress(args) -> int:
-    if args.history:
-        from ..bench import load_history
-
-        records = load_history(args.history)
-        if len(records) < 2:
-            raise SystemExit(
-                f"{args.history}: need >= 2 history records to regress "
-                f"(have {len(records)})"
-            )
-        base, blabel = records[-1 - args.tail], f"{args.history}[-{1 + args.tail}]"
-        current, clabel = records[-1], f"{args.history}[-1]"
-    else:
-        if not (args.base and args.current):
-            raise SystemExit(
-                "regress: give BASE and CURRENT snapshot files, or --history"
-            )
-        base, blabel = _load_bench_point(args.base)
-        current, clabel = _load_bench_point(args.current)
-    rows = rg.compare(base, current, threshold=args.threshold)
-    if args.json:
-        json.dump(rows, sys.stdout, indent=1, sort_keys=True)
-        print()
-    else:
-        print(rg.render(rows, args.threshold, blabel, clabel))
-    return 1 if rg.regressed(rows) else 0
-
-
 # -- entry -----------------------------------------------------------------
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
@@ -313,26 +270,6 @@ def main(argv=None) -> int:
     p.add_argument("--top", type=int, default=10, metavar="K")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_critpath)
-
-    p = sub.add_parser(
-        "regress", help="drift attribution between two bench snapshots"
-    )
-    p.add_argument("base", nargs="?", default=None, metavar="BASE.json")
-    p.add_argument("current", nargs="?", default=None, metavar="CURRENT.json")
-    p.add_argument(
-        "--history", default=None, metavar="HISTORY.jsonl",
-        help="compare entries of a bench history file instead",
-    )
-    p.add_argument(
-        "--tail", type=int, default=1, metavar="N",
-        help="with --history: compare the last entry against N entries back",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=rg.DEFAULT_THRESHOLD, metavar="FRAC",
-        help="relative drift tolerated per metric (default 0.2 = 20%%)",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_regress)
 
     args = ap.parse_args(argv)
     try:

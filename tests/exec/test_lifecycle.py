@@ -161,7 +161,7 @@ def cellbe_pool_sweep():
             mp.setattr(mod, "compile_cuda", counted(mod.compile_cuda))
         for mod in (lifecycle, opencl_api):
             mp.setattr(mod, "compile_opencl", counted(mod.compile_opencl))
-        ex = rexec.SweepExecutor(jobs=2, progress=False)
+        ex = rexec.SweepExecutor(jobs=2, progress="off")
         ex.prewarm(units)
         prewarm_calls = list(calls)
         # the wrap is live in the driver: a preflight here is counted

@@ -24,7 +24,7 @@ def test_injected_raise_appears_as_tagged_span_event(tmp_path):
     with tm.use_registry() as reg, tspans.use_tracer(tr):
         ex = rexec.SweepExecutor(
             cache=tmp_path, faults="raise:TranP/cuda*", retries=0,
-            progress=False,
+            progress="off",
         )
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)
@@ -52,7 +52,7 @@ def test_injected_transient_retries_are_span_events(tmp_path):
     with tm.use_registry() as reg, tspans.use_tracer(tr):
         ex = rexec.SweepExecutor(
             cache=tmp_path, faults="seed=3;transient:TranP/opencl*:1.0:1",
-            retries=2, progress=False,
+            retries=2, progress="off",
         )
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)
@@ -71,12 +71,12 @@ def test_corrupt_fault_counts_and_quarantine_event(tmp_path):
     with tm.use_registry() as reg, tspans.use_tracer(tr):
         ex = rexec.SweepExecutor(
             cache=tmp_path, faults=f"corrupt:{unit.label()}",
-            progress=False,
+            progress="off",
         )
         ex.run_unit(unit)
         assert reg.counter("faults.injected.corrupt").value == 1
         # a fresh executor over the same cache trips the quarantine path
-        ex2 = rexec.SweepExecutor(cache=tmp_path, progress=False)
+        ex2 = rexec.SweepExecutor(cache=tmp_path, progress="off")
         ex2.run_unit(unit)
         assert ex2.stats.quarantined == 1
         assert reg.counter("cache.quarantined").value == 1
@@ -92,7 +92,7 @@ def test_parallel_chaos_events_survive_worker_roundtrip(tmp_path):
     with tm.use_registry() as reg, tspans.use_tracer(tr):
         ex = rexec.SweepExecutor(
             jobs=2, cache=tmp_path, retries=0,
-            faults="raise:TranP/cuda*", progress=False,
+            faults="raise:TranP/cuda*", progress="off",
         )
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)

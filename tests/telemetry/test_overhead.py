@@ -26,7 +26,7 @@ def _warm_pass(cache_dir, telemetry_on: bool) -> float:
     )
     t0 = time.process_time()
     with ctx:
-        ex = rexec.SweepExecutor(cache=cache_dir, progress=False)
+        ex = rexec.SweepExecutor(cache=cache_dir, progress="off")
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)
             for u in UNITS:
@@ -37,7 +37,7 @@ def _warm_pass(cache_dir, telemetry_on: bool) -> float:
 
 def test_warm_sweep_within_5_percent_with_telemetry_on(tmp_path):
     # populate the disk cache once, untimed
-    ex = rexec.SweepExecutor(cache=tmp_path, progress=False)
+    ex = rexec.SweepExecutor(cache=tmp_path, progress="off")
     with rexec.use_executor(ex):
         ex.prewarm(UNITS)
     assert ex.stats.misses == len(UNITS)

@@ -141,10 +141,10 @@ class TestLogger:
 class TestRenderSweepCounters:
     def test_cache_line_answers_was_the_cache_warm(self, tmp_path):
         unit = rexec.make_unit("TranP", "cuda", GTX480, "small")
-        ex = rexec.SweepExecutor(cache=tmp_path, progress=False)
+        ex = rexec.SweepExecutor(cache=tmp_path, progress="off")
         ex.run_unit(unit)   # cold: simulate + store
         ex.run_unit(unit)   # memo hit
-        ex2 = rexec.SweepExecutor(cache=tmp_path, progress=False)
+        ex2 = rexec.SweepExecutor(cache=tmp_path, progress="off")
         ex2.run_unit(unit)  # disk hit
         cold = render_sweep(ex.stats)
         warm = render_sweep(ex2.stats)
@@ -156,10 +156,10 @@ class TestRenderSweepCounters:
     def test_quarantine_count_surfaces(self, tmp_path):
         unit = rexec.make_unit("TranP", "cuda", GTX480, "small")
         ex = rexec.SweepExecutor(
-            cache=tmp_path, faults=f"corrupt:{unit.label()}", progress=False
+            cache=tmp_path, faults=f"corrupt:{unit.label()}", progress="off"
         )
         ex.run_unit(unit)
-        ex2 = rexec.SweepExecutor(cache=tmp_path, progress=False)
+        ex2 = rexec.SweepExecutor(cache=tmp_path, progress="off")
         ex2.run_unit(unit)  # quarantines, then re-simulates
         assert ex2.stats.quarantined == 1
         assert "1 quarantined" in render_sweep(ex2.stats)

@@ -85,7 +85,7 @@ def test_spans_propagate_across_pool_workers(tmp_path):
     parented under the parent-side sweep span chain."""
     tr = tspans.Tracer(run_id="pool-test")
     with tspans.use_tracer(tr):
-        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress=False)
+        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress="off")
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)
     tr.finish()
@@ -118,7 +118,7 @@ def test_spans_propagate_across_pool_workers(tmp_path):
 def test_merged_trace_is_loadable_chrome_json(tmp_path):
     tr = tspans.Tracer(run_id="trace-test")
     with tspans.use_tracer(tr):
-        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress=False)
+        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress="off")
         with rexec.use_executor(ex):
             ex.prewarm(UNITS)
     tr.finish()
