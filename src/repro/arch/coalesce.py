@@ -60,12 +60,6 @@ def segments_lines(
     return bases, np.full(bases.shape, line, dtype=np.int64)
 
 
-def _fits(first: int, last: int, width: int) -> int | None:
-    """Aligned ``width``-byte window containing [first, last), or None."""
-    base = (first // width) * width
-    return base if last <= base + width else None
-
-
 def segments_gt200(
     addrs: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -235,13 +235,13 @@ class Benchmark(abc.ABC):
     ) -> list[KirKernel]:
         """Kernels after variant rewriting — the single build entry point.
 
-        Every consumer of a benchmark's kernels (host runs, fingerprints,
-        the ABT preflight) goes through here, so a ``rewrite`` option —
-        a :mod:`repro.kir.rewrite` token like ``sobel!promote:filt`` —
-        is applied uniformly and the exec-layer digest automatically
-        covers the rewritten sources.  (The key is ``rewrite`` rather
-        than ``variant`` because some benchmarks — SPMV — already use
-        ``variant`` for their own algorithmic alternatives.)
+        Every consumer of a benchmark's kernels (host runs, the ABT
+        preflight, variant planning) goes through here, so a ``rewrite``
+        option — a :mod:`repro.kir.rewrite` token like
+        ``sobel!promote:filt`` — is applied uniformly.  (The key is
+        ``rewrite`` rather than ``variant`` because some benchmarks —
+        SPMV — already use ``variant`` for their own algorithmic
+        alternatives.)
         """
         kerns = self.kernels(dialect, options, defines, params)
         token = options.get("rewrite") if options else None

@@ -24,12 +24,10 @@ import pickle
 from ..kir.stmt import Kernel
 from ..ptx.module import PTXKernel
 
-__all__ = ["cached_compile", "cache_stats", "clear"]
+__all__ = ["cached_compile", "clear"]
 
 _cache: dict = {}
 _CAP = 512  # source kernels are small; this is plenty for any sweep
-_hits = 0
-_misses = 0
 
 
 def _key(dialect: str, kernel: Kernel, max_regs: int) -> tuple:
@@ -64,13 +62,10 @@ def _clone(ptx: PTXKernel) -> PTXKernel:
 
 def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
     """Return a compiled copy of ``kernel``, compiling on first sight."""
-    global _hits, _misses
     key = _key(dialect, kernel, max_regs)
     entry = _cache.get(key)
     if entry is not None:
-        _hits += 1
         return _clone(entry)
-    _misses += 1
     ptx = compile_fn()
     ptx.content_digest()  # memoize pre-clone so every copy inherits it
     if len(_cache) < _CAP:
@@ -78,13 +73,6 @@ def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
     return ptx
 
 
-def cache_stats() -> dict:
-    return {"hits": _hits, "misses": _misses, "entries": len(_cache)}
-
-
 def clear() -> None:
     """Drop all entries (tests use this to force cold compiles)."""
-    global _hits, _misses
     _cache.clear()
-    _hits = 0
-    _misses = 0

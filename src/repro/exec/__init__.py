@@ -3,8 +3,8 @@
 Decomposes experiments into independent :class:`WorkUnit`\\ s (one per
 benchmark x device x API x config), fans them out over a process pool,
 and memoizes each unit's result in a content-addressed cache keyed by
-the kernel sources, the full :class:`DeviceSpec`, the launch
-configuration, and the package version (see DESIGN.md §"Sweep execution
+the full :class:`DeviceSpec`, the resolved launch configuration, the
+package version and the model's source (see DESIGN.md §"Sweep execution
 engine").
 
 A process-wide *active executor* lets the experiment harness, the

@@ -30,7 +30,7 @@ from ..errors import CacheCorruptionError
 from ..prof.profile import LaunchProfile
 from ..telemetry import log, metrics
 from ..telemetry import spans as tspans
-from .unit import UnitResult, WorkUnit, _plain
+from .unit import UnitResult, WorkUnit, _plain, unit_from_dict, unit_to_dict
 
 __all__ = [
     "ResultCache",
@@ -50,7 +50,7 @@ __all__ = [
 SCHEMA_VERSION = 3
 
 _REQUIRED_KEYS = frozenset({"schema", "unit", "bench", "profile", "seconds"})
-_UNIT_KEYS = frozenset({"benchmark", "api", "device", "size", "options"})
+_UNIT_KEYS = frozenset(f.name for f in dataclasses.fields(WorkUnit))
 
 
 def default_cache_dir() -> str:
@@ -118,13 +118,7 @@ def validate_payload(payload) -> None:
 def result_to_json(ur: UnitResult) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "unit": {
-            "benchmark": ur.unit.benchmark,
-            "api": ur.unit.api,
-            "device": ur.unit.device,
-            "size": ur.unit.size,
-            "options": [list(kv) for kv in ur.unit.options],
-        },
+        "unit": unit_to_dict(ur.unit),
         "bench": _bench_to_json(ur.bench),
         "profile": _profile_to_json(ur.profile),
         "seconds": float(ur.seconds),
@@ -133,16 +127,8 @@ def result_to_json(ur: UnitResult) -> dict:
 
 def result_from_json(payload: dict, cached: bool = False) -> UnitResult:
     validate_payload(payload)
-    u = payload["unit"]
-    unit = WorkUnit(
-        benchmark=u["benchmark"],
-        api=u["api"],
-        device=u["device"],
-        size=u["size"],
-        options=tuple((k, v) for k, v in u["options"]),
-    )
     return UnitResult(
-        unit=unit,
+        unit=unit_from_dict(payload["unit"]),
         bench=_bench_from_json(payload["bench"]),
         profile=_profile_from_json(payload["profile"]),
         seconds=payload["seconds"],

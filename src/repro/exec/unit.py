@@ -7,16 +7,19 @@ benchmark run under one API on one device at one size with one option
 set* — which is exactly the granularity at which runs can be fanned out
 over processes and memoized on disk.
 
-Every unit has a content-addressed :func:`unit_digest` over everything
-that determines its result: the rendered kernel sources (per dialect,
-after option/define resolution), the full :class:`DeviceSpec` including
-calibration constants, the launch configuration (problem-size
-parameters, resolved options, build defines), the ``repro`` package
-version, and a digest of the source of every package that decides what
-a unit computes (:func:`code_digest`).  Editing the simulator, a
-runtime or a front end therefore invalidates cached results without a
-version bump; editing the engine, the daemon or the observability
-layers does not.
+This module owns a unit's identity.  :func:`make_unit` gives equal work
+one spelling (options sorted, default-valued options dropped), and
+:func:`unit_to_dict` / :func:`unit_from_dict` are its one JSON form, the
+one the cache, the daemon's API and its WAL all store.  Every unit has a
+content-addressed :func:`unit_digest` over everything that determines
+its result: the benchmark, API and size, the full :class:`DeviceSpec`
+including calibration constants, the resolved build inputs (problem-size
+parameters, options, defines), the ``repro`` package version, and a
+digest of the source of every package that decides what a unit computes
+(:func:`code_digest`) — which includes the code that builds its
+kernels.  Editing the simulator, a runtime or a front end therefore
+invalidates cached results without a version bump; editing the engine,
+the daemon or the observability layers does not.
 """
 from __future__ import annotations
 
@@ -32,13 +35,14 @@ from .._version import __version__
 from ..arch.specs import DeviceSpec, device_by_name
 from ..benchsuite.base import BenchResult, host_for
 from ..benchsuite.registry import get_benchmark
-from ..kir import pretty
 from ..kir.dialect import CUDA, OPENCL
 
 __all__ = [
     "WorkUnit",
     "UnitResult",
     "make_unit",
+    "unit_to_dict",
+    "unit_from_dict",
     "unit_build",
     "unit_fingerprint",
     "unit_digest",
@@ -86,6 +90,15 @@ class UnitResult:
     cached: bool = False
 
 
+def _dialect(api: str):
+    return CUDA if api == "cuda" else OPENCL
+
+
+def _frozen(v):
+    """JSON gives arrays back as lists; a unit holds them as tuples."""
+    return tuple(_frozen(x) for x in v) if isinstance(v, (list, tuple)) else v
+
+
 def make_unit(
     benchmark: str,
     api: str,
@@ -93,12 +106,42 @@ def make_unit(
     size: str = "default",
     options: Optional[Mapping] = None,
 ) -> WorkUnit:
-    """Build a canonical :class:`WorkUnit` (options sorted by key)."""
+    """Build the canonical :class:`WorkUnit` for one sweep cell.
+
+    Options are sorted by key, and an option whose value equals the
+    benchmark's default for this API (same value, same type) is dropped,
+    so equal work has one unit, one label and one digest whatever way it
+    was spelled.  Unknown keys and ``rewrite`` tokens are kept.
+    """
     name = device.name if isinstance(device, DeviceSpec) else str(device)
-    canon = tuple(sorted((str(k), v) for k, v in (options or {}).items()))
+    opts = {str(k): _frozen(v) for k, v in (options or {}).items()}
+    if opts:
+        defaults = get_benchmark(str(benchmark)).options_for(_dialect(api), None)
+        for k, v in list(opts.items()):
+            if k in defaults and type(v) is type(defaults[k]) and v == defaults[k]:
+                del opts[k]
     return WorkUnit(
         benchmark=str(benchmark), api=str(api), device=name, size=str(size),
-        options=canon,
+        options=tuple(sorted(opts.items())),
+    )
+
+
+def unit_to_dict(unit: WorkUnit) -> dict:
+    """The unit's JSON form (cache entries, daemon API and WAL)."""
+    return {
+        "benchmark": unit.benchmark,
+        "api": unit.api,
+        "device": unit.device,
+        "size": unit.size,
+        "options": [list(kv) for kv in unit.options],
+    }
+
+
+def unit_from_dict(d: Mapping) -> WorkUnit:
+    """The canonical unit of a JSON form; ``options`` may be pairs or a dict."""
+    return make_unit(
+        d["benchmark"], d["api"], d["device"], d.get("size", "default"),
+        dict(d.get("options") or ()),
     )
 
 
@@ -119,13 +162,14 @@ def unit_build(unit: WorkUnit, spec: Optional[DeviceSpec] = None) -> tuple:
     """Resolve the unit's build inputs exactly as a run would.
 
     Returns ``(bench, dialect, params, opts, defines)`` — the single
-    resolution path shared by :func:`unit_fingerprint` (content
-    addressing) and the lifecycle ABT preflight (which compiles
-    the same kernels the host would), so the two can never drift.
+    resolution path shared by :func:`unit_fingerprint`, which keys on
+    these inputs, and the callers that build the unit's kernels from
+    them (the ABT preflight, variant planning), so the key and the
+    kernels can never drift apart.
     """
     spec = spec if spec is not None else unit.spec
     bench = get_benchmark(unit.benchmark)
-    dialect = CUDA if unit.api == "cuda" else OPENCL
+    dialect = _dialect(unit.api)
     params = bench.sizes()[unit.size]
     opts = bench.options_for(dialect, dict(unit.options))
     defines = {"WARP_SIZE": spec.warp_width}
@@ -170,14 +214,7 @@ def unit_fingerprint(
     invalidation rules without editing global state.
     """
     spec = spec if spec is not None else unit.spec
-    bench, dialect, params, opts, defines = unit_build(unit, spec)
-    try:
-        sources = [
-            pretty.render(k, dialect)
-            for k in bench.build_kernels(dialect, opts, defines, params)
-        ]
-    except Exception as e:  # construction can hit device limits; still keyable
-        sources = [f"<kernel construction failed: {type(e).__name__}: {e}>"]
+    _, _, params, opts, defines = unit_build(unit, spec)
     return {
         "benchmark": unit.benchmark,
         "api": unit.api,
@@ -186,7 +223,6 @@ def unit_fingerprint(
         "params": _plain(params),
         "options": _plain(opts),
         "defines": _plain(defines),
-        "kernels": sources,
         "version": version if version is not None else __version__,
         "code": code_digest(PACKAGE_ROOT),
     }

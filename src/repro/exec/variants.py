@@ -3,10 +3,10 @@ preservation harness.
 
 A variant is an ordinary :class:`WorkUnit` whose options carry a
 ``rewrite`` token (see :mod:`repro.kir.rewrite.plan`); it flows
-through the cache and journal like any other unit, and
-its content digest covers the rewritten kernel sources automatically
-because :func:`repro.exec.unit.unit_fingerprint` renders kernels through
-``Benchmark.build_kernels``.
+through the cache and journal like any other unit.  Its content digest
+tells it from its baseline because the token is one of the unit's
+options, and the rewrite engine lives under ``kir/``, whose source the
+digest's ``code`` field already covers.
 
 The harness's contract is the rewrite engine's whole claim: **every
 legal variant computes the byte-identical output of its baseline**.  The

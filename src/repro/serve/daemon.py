@@ -46,7 +46,7 @@ from ..exec.cache import (
     result_from_json,
 )
 from ..exec.engine import retry_delay
-from ..exec.unit import make_unit, unit_digest
+from ..exec.unit import unit_digest, unit_from_dict, unit_to_dict
 from ..telemetry import log, metrics
 from .admission import (
     REJECT_BACKPRESSURE,
@@ -288,21 +288,15 @@ class SweepDaemon:
     def submit(self, tenant: str, unit_dicts: list) -> SubmitOutcome:
         """Admit (or reject, atomically) one submission of unit dicts.
 
-        Digesting happens before the state lock is taken — it compiles
-        kernels and must not stall dispatch.
+        Each unit dict is canonicalised and digested before the state
+        lock is taken, so a malformed unit is rejected without touching
+        the queue.
         """
         tenant = str(tenant or "default")
         if not unit_dicts:
             return SubmitOutcome(error="empty submission", status=400)
         try:
-            units = [
-                make_unit(
-                    d["benchmark"], d["api"], d["device"],
-                    d.get("size", "default"),
-                    dict(d["options"]) if d.get("options") else None,
-                )
-                for d in unit_dicts
-            ]
+            units = [unit_from_dict(d) for d in unit_dicts]
             digests = [unit_digest(u) for u in units]
         except Exception as e:
             return SubmitOutcome(
@@ -359,10 +353,7 @@ class SweepDaemon:
             self._tickets[ticket] = tk
             deduped = cached = 0
             for dg, u in uniq.items():
-                unit_dict = {
-                    "benchmark": u.benchmark, "api": u.api, "device": u.device,
-                    "size": u.size, "options": [list(kv) for kv in u.options],
-                }
+                unit_dict = unit_to_dict(u)
                 self.wal.record_submit(ticket, tenant, dg, u.label(), unit_dict)
                 entry = self._units.get(dg)
                 if entry is not None:

@@ -39,27 +39,16 @@ from .. import faults as faults_mod
 from ..errors import FailureKind, classify, is_injected
 from ..exec.cache import ResultCache, result_to_json
 from ..exec.engine import _deadline
-from ..exec.unit import WorkUnit, execute
+from ..exec.unit import execute, unit_from_dict
 from .wal import serve_dir
 
-__all__ = ["worker_main", "errfile_path", "read_errfile", "unit_from_dict"]
+__all__ = ["worker_main", "errfile_path", "read_errfile"]
 
 #: worker exit codes (the 0/1/75 contract, plus the signal-death cases
 #: the OS reports as negative exitcodes)
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_TRANSIENT = 75
-
-
-def unit_from_dict(d: dict) -> WorkUnit:
-    """Rebuild a :class:`WorkUnit` from its WAL/API JSON form."""
-    return WorkUnit(
-        benchmark=d["benchmark"],
-        api=d["api"],
-        device=d["device"],
-        size=d.get("size", "default"),
-        options=tuple((k, v) for k, v in (d.get("options") or [])),
-    )
 
 
 def errfile_path(cache_dir, token: int) -> Path:

@@ -52,6 +52,12 @@ class TestValidatePayload:
         with pytest.raises(CacheCorruptionError, match="schema version"):
             validate_payload(payload)
 
+    def test_result_from_json_canonicalises_an_old_unit_block(self):
+        # an entry written before default options folded away spells one out
+        payload = rexec.result_to_json(rexec.execute(UNIT))
+        payload["unit"]["options"] = [["use_local", True]]
+        assert rexec.result_from_json(payload).unit == UNIT
+
     def test_result_from_json_raises_typed_not_keyerror(self):
         with pytest.raises(CacheCorruptionError):
             rexec.result_from_json({"bogus": True})

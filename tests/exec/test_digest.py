@@ -1,20 +1,25 @@
 """Property tests for the sweep cache key (ISSUE 2 satellite).
 
 (a) identical units produce identical digests (insensitive to option
-    dict ordering and to repeated construction);
-(b) any perturbation of the kernel source, a DeviceSpec field, or the
-    launch geometry/config changes the digest;
+    dict ordering, to repeated construction, and to spelling a default
+    option out);
+(b) any perturbation of a kernel-shaping option, the model's source, a
+    DeviceSpec field, or the launch geometry/config changes the digest;
 (c) byte-identity of cached results is covered in test_engine.py.
 """
 import dataclasses
+import json
 import shutil
 
 from hypothesis import given, settings, strategies as st
 
 from repro import exec as rexec
 from repro.arch.specs import GTX280, GTX480, device_by_name
+from repro.benchsuite.base import Benchmark
 from repro.exec import unit as unit_mod
-from repro.exec.unit import digest_of_fingerprint, unit_fingerprint
+from repro.exec.unit import unit_fingerprint, unit_from_dict, unit_to_dict
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import collect_units
 
 BENCHMARKS = ["TranP", "Reduce", "Sobel", "MD"]
 DEVICES = ["GTX280", "GTX480"]
@@ -107,16 +112,26 @@ def test_any_spec_field_perturbation_changes_digest(unit, field):
     assert rexec.unit_digest(unit) != rexec.unit_digest(unit, spec=bumped)
 
 
-def test_kernel_source_is_part_of_the_key():
-    # same benchmark/geometry, option only changes the generated kernel
+def test_kernel_shaping_options_are_part_of_the_key():
+    # options that only change the generated kernels still move the digest
     with_c = rexec.make_unit("Sobel", "cuda", GTX280, "small", {"use_constant": True})
     wo_c = rexec.make_unit("Sobel", "cuda", GTX280, "small", {"use_constant": False})
-    fp_a, fp_b = unit_fingerprint(with_c), unit_fingerprint(wo_c)
-    assert fp_a["kernels"] != fp_b["kernels"]
-    # and digest is sensitive to the source text alone, all else equal
-    mutated = dict(fp_a)
-    mutated["kernels"] = [s + "\n// perturbed" for s in fp_a["kernels"]]
-    assert digest_of_fingerprint(mutated) != digest_of_fingerprint(fp_a)
+    assert rexec.unit_digest(with_c) != rexec.unit_digest(wo_c)
+    with_a = rexec.make_unit("FDTD", "opencl", GTX480, "small", {"unroll_a": 9})
+    wo_a = rexec.make_unit("FDTD", "opencl", GTX480, "small", {"unroll_a": None})
+    assert rexec.unit_digest(with_a) != rexec.unit_digest(wo_a)
+
+
+def test_digest_builds_no_kernels(monkeypatch):
+    unit = rexec.make_unit("Sobel", "cuda", GTX280, "small", {"use_constant": True})
+    base = rexec.unit_digest(unit)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the digest must not build kernels")
+
+    monkeypatch.setattr(Benchmark, "build_kernels", boom)
+    assert "kernels" not in unit_fingerprint(unit)
+    assert rexec.unit_digest(unit) == base
 
 
 def test_timing_calibration_is_part_of_the_key():
@@ -154,4 +169,67 @@ def test_model_source_is_part_of_the_key(tmp_path, monkeypatch):
     assert digest_after_flipping("serve/daemon.py") == base
     sim = digest_after_flipping("sim/interp.py")
     assert sim != base
-    assert digest_after_flipping("errors.py") != sim
+    err = digest_after_flipping("errors.py")
+    assert err != sim
+    # the code that builds a unit's kernels is keyed here, not by the
+    # rendered sources
+    app = digest_after_flipping("benchsuite/apps/sobel.py")
+    assert app != err
+    assert digest_after_flipping("kir/builder.py") != app
+
+
+def _same_identity(a, b):
+    return a == b and a.label() == b.label() and (
+        rexec.unit_digest(a) == rexec.unit_digest(b)
+    )
+
+
+def test_default_valued_options_fold_away():
+    ocl = rexec.make_unit("FDTD", "opencl", GTX480, "small")
+    assert _same_identity(
+        ocl, rexec.make_unit("FDTD", "opencl", GTX480, "small", {"unroll_a": None})
+    )
+    cuda = rexec.make_unit("FDTD", "cuda", GTX480, "small")
+    assert _same_identity(
+        cuda, rexec.make_unit("FDTD", "cuda", GTX480, "small", {"unroll_a": 9})
+    )
+    assert cuda.label() == "FDTD/cuda@GTX480[small]"
+    # the OpenCL default is not the CUDA default
+    no_a = rexec.make_unit("FDTD", "cuda", GTX480, "small", {"unroll_a": None})
+    assert no_a.options == (("unroll_a", None),)
+    assert rexec.unit_digest(no_a) != rexec.unit_digest(cuda)
+
+
+def test_default_folding_needs_the_same_type():
+    # 1 == True, but a different type is a different spelling of work
+    unit = rexec.make_unit("Sobel", "opencl", GTX480, "small", {"use_constant": 1})
+    assert unit.options == (("use_constant", 1),)
+
+
+def test_unknown_keys_and_rewrite_tokens_survive():
+    # ``blocks=24`` is Reduce's default, but Sobel has no such option
+    unit = rexec.make_unit(
+        "Sobel", "cuda", GTX480, "small",
+        {"blocks": 24, "rewrite": "sobel!cse:body", "use_constant": False},
+    )
+    assert unit.options == (("blocks", 24), ("rewrite", "sobel!cse:body"))
+
+
+def test_unit_dict_round_trip_is_canonical():
+    unit = rexec.make_unit("FDTD", "cuda", GTX480, "small", {"unroll_a": None})
+    assert unit_from_dict(unit_to_dict(unit)) == unit
+    spelled = {"benchmark": "FDTD", "api": "opencl", "device": "GTX480",
+               "size": "small", "options": [["unroll_a", None]]}
+    assert unit_from_dict(spelled) == rexec.make_unit("FDTD", "opencl", GTX480, "small")
+    assert unit_from_dict(dict(spelled, options={"unroll_a": None})).options == ()
+    # array-valued options survive JSON as tuples, so the unit stays hashable
+    tiled = rexec.make_unit("Sobel", "cuda", GTX480, "small", {"wg": (8, 8)})
+    back = unit_from_dict(json.loads(json.dumps(unit_to_dict(tiled))))
+    assert back == tiled and hash(back) == hash(tiled)
+    assert rexec.make_unit("Sobel", "cuda", GTX480, "small", {"wg": [16, 16]}).options == ()
+
+
+def test_paper_sweep_units_equal_digests():
+    units = set(collect_units(list(EXPERIMENTS), "default"))
+    digests = {rexec.unit_digest(u) for u in units}
+    assert len(units) == len(digests) == 119

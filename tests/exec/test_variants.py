@@ -28,8 +28,8 @@ def test_variant_units_have_distinct_digests(sobel_unit):
     digests = {unit_digest(sobel_unit)}
     for tok in tokens[:3]:
         digests.add(unit_digest(rvariants.with_variant(sobel_unit, tok)))
-    # baseline + each sampled variant fingerprint differently: the digest
-    # covers the rewritten kernel sources
+    # baseline + each sampled variant fingerprint differently: the token
+    # is one of the unit's options
     assert len(digests) == 4
 
 

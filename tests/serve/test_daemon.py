@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.unit import make_unit, unit_digest
+from repro.exec.unit import make_unit, unit_digest, unit_from_dict
 from repro.serve.daemon import SweepDaemon
 from repro.serve.wal import UnitEntry, replay, wal_path
 from repro.serve.admission import TenantQuota
@@ -89,6 +89,23 @@ class TestLifecycleAndDedup:
         done = wal_records(tmp_path, "done")
         assert [r["source"] for r in done] == ["cache"]
         assert wal_records(tmp_path, "lease") == []
+
+    def test_default_option_spelling_replays_canonical(self, tmp_path):
+        # spelling out Sobel/cuda's default use_constant=False is the same
+        # unit: one queue entry, and the WAL replays it under one identity
+        canon = make_unit(**UNIT)
+        spelled = dict(UNIT, options={"use_constant": False})
+        d = make_daemon(tmp_path).start()
+        try:
+            out = d.submit("alice", [spelled, UNIT])
+            assert out.accepted and out["units"] == 1
+            assert d.wait_ticket(out["ticket"], 300)
+        finally:
+            d.stop(grace=10)
+        (entry,) = replay(wal_path(tmp_path)).units.values()
+        assert entry.digest == unit_digest(canon)
+        assert entry.label == canon.label()
+        assert unit_from_dict(entry.unit) == canon
 
     def test_submit_validation(self, tmp_path):
         d = make_daemon(tmp_path).start()
