@@ -4,25 +4,26 @@ Sweeps compile the same few source kernels hundreds of times (every
 device x experiment unit rebuilds its programs from scratch), and the
 pipeline is pure: output depends only on the source kernel, the
 dialect, and the register budget.  The cache keys on exactly those and
-returns a *defensive copy* per hit — callers mutate the result
-(``Program.build`` rewrites ``defines``, runtimes set ``producer``) and
-digests are memoized onto kernel objects, so shared instances would
-alias across programs.
+stores each compiled kernel as its pickled bytes, so every hit unpickles
+a private copy — callers mutate the result (``Program.build`` rewrites
+``defines``, runtimes set ``producer``, the interpreter memoizes launch
+preparation on the object) and nothing aliases across programs.  The
+memoized content digest is in the pickled ``__dict__``, so sweeps pay
+one digest per unique compile.  Bytes also keep a long-lived process
+small: pickled, a sweep's entries take about a sixth of the memory of
+the live instruction graphs they stand for.
 
 The KIR ``Kernel`` tree is plain nested dataclasses, so a structural
 serialization of it is a deterministic fingerprint of the source:
 ``pickle`` gives the same bytes for trees built the same way and runs
 at C speed, where the dataclass ``repr`` walk dominated compile-hit
-cost.  Instruction lists are copied shallowly: ``Instr`` objects are
-never mutated after assembly.
+cost.
 """
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 from ..kir.stmt import Kernel
-from ..ptx.module import PTXKernel
 
 __all__ = ["cached_compile", "clear"]
 
@@ -40,36 +41,16 @@ def _key(dialect: str, kernel: Kernel, max_regs: int) -> tuple:
     )
 
 
-def _clone(ptx: PTXKernel) -> PTXKernel:
-    k = PTXKernel(
-        name=ptx.name,
-        params=list(ptx.params),
-        instrs=list(ptx.instrs),
-        resources=dataclasses.replace(ptx.resources),
-        shared_decls=dict(ptx.shared_decls),
-        producer=ptx.producer,
-        dialect=ptx.dialect,
-        virtual_regs=ptx.virtual_regs,
-        defines=dict(ptx.defines),
-    )
-    # the content digest covers exactly the fields cloned above, so it
-    # transfers — sweeps then pay one digest per unique compile
-    d = ptx.__dict__.get("_content_digest")
-    if d is not None:
-        k.__dict__["_content_digest"] = d
-    return k
-
-
 def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
     """Return a compiled copy of ``kernel``, compiling on first sight."""
     key = _key(dialect, kernel, max_regs)
     entry = _cache.get(key)
     if entry is not None:
-        return _clone(entry)
+        return pickle.loads(entry)
     ptx = compile_fn()
-    ptx.content_digest()  # memoize pre-clone so every copy inherits it
+    ptx.content_digest()  # memoize before pickling so every copy inherits it
     if len(_cache) < _CAP:
-        _cache[key] = _clone(ptx)
+        _cache[key] = pickle.dumps(ptx, protocol=pickle.HIGHEST_PROTOCOL)
     return ptx
 
 

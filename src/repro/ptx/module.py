@@ -83,9 +83,10 @@ class PTXKernel:
 
         Covers everything that affects what a launch computes (code,
         params, resources, shared decls, dialect) and nothing that does
-        not (producer, defines, diagnostics).  The compile cache copies
-        the memoized value onto clones, so sweeps pay one digest per
-        unique compile; the launch memo keys on it.
+        not (producer, defines, diagnostics).  The memoized value
+        travels in ``__dict__`` through the compile cache's pickled
+        entries, so sweeps pay one digest per unique compile; the launch
+        memo keys on it.
         """
         d = self.__dict__.get("_content_digest")
         if d is None:

@@ -18,7 +18,8 @@ The package splits along the same lines the guarantees do:
     per-tenant quotas (429), queue backpressure and per-device circuit
     breakers (503)
 :mod:`repro.serve.worker`
-    the one-process-per-lease worker speaking the 0/1/75 exit contract
+    the long-lived forked worker: one lease at a time over a pipe, each
+    outcome in the 0/1/75 classes of the exit-code contract
 :mod:`repro.serve.daemon`
     the queue/dispatch core tying the above together
 :mod:`repro.serve.api` / :mod:`repro.serve.client`
@@ -37,7 +38,7 @@ from .client import ServeClient, ServeError, discover
 from .daemon import SweepDaemon
 from .lease import Lease, LeaseManager, default_ttl
 from .wal import QueueWAL, replay, serve_dir, wal_path
-from .worker import worker_main
+from .worker import worker_loop
 
 __all__ = [
     "SweepDaemon",
@@ -58,5 +59,5 @@ __all__ = [
     "wal_path",
     "endpoint_path",
     "read_endpoint",
-    "worker_main",
+    "worker_loop",
 ]

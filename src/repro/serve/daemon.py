@@ -21,10 +21,12 @@
   bounded grace, queued work stays in the WAL for the next boot, and
   the exit code follows the 0/1/75 contract.
 
-Threading model: ``jobs`` dispatcher threads each drive at most one
-worker *process* at a time (one process per lease — a crashed worker
-takes down nothing but its own lease), plus one housekeeping thread
-that heartbeats the WAL, flushes metrics snapshots, and reaps expired
+Threading model: ``jobs`` dispatcher threads each own one long-lived
+worker *process*, forked when the thread first needs it, that holds at
+most one lease at a time and reports each outcome on a pipe (a crashed
+worker takes down nothing but its own lease, and the thread forks a
+replacement for its next one), plus one housekeeping thread that
+heartbeats the WAL, flushes metrics snapshots, and reaps expired
 leases.  All queue state is guarded by a single condition variable;
 no worker process is ever awaited while the lock is held.
 """
@@ -60,7 +62,7 @@ from .lease import LeaseManager, default_ttl
 from .wal import QueueWAL, TicketEntry, UnitEntry
 from .wal import replay as wal_replay
 from .wal import serve_dir, wal_path
-from .worker import EXIT_FAILED, EXIT_OK, EXIT_TRANSIENT, read_errfile, worker_main
+from .worker import EXIT_OK, EXIT_TRANSIENT, worker_loop
 
 __all__ = ["SweepDaemon", "SubmitOutcome"]
 
@@ -128,6 +130,9 @@ class SweepDaemon:
         #: (jittered transient backoff)
         self._not_before: dict = {}
         self._procs: dict = {}  # digest -> live worker Process
+        #: dispatcher slot -> its worker's ``(Process, Connection)`` or None
+        self._workers: list = [None] * self.jobs
+        self._closed = False  # set by stop(): no lease outcome, no new worker
         self._rejects: dict = {}  # tenant -> count
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -174,8 +179,8 @@ class SweepDaemon:
                 self._pending.append(d)
         for i in range(self.jobs):
             t = threading.Thread(
-                target=self._dispatch_loop, name=f"serve-dispatch-{i}",
-                daemon=True,
+                target=self._dispatch_loop, args=(i,),
+                name=f"serve-dispatch-{i}", daemon=True,
             )
             t.start()
             self._threads.append(t)
@@ -223,6 +228,7 @@ class SweepDaemon:
         # grace exhausted: kill the stragglers' workers; their leases are
         # requeued so the next boot re-dispatches (nothing is lost)
         with self._work:
+            self._closed = True
             for lease in list(self.leases.active()):
                 p = self._procs.pop(lease.digest, None)
                 if p is not None:
@@ -241,6 +247,10 @@ class SweepDaemon:
             state = "stopped" if remaining == 0 else "interrupted"
             self.wal.record_state(state)
             self.wal.close()
+        # a dispatcher whose worker was killed above notices within a poll
+        for t in self._threads:
+            t.join(5.0)
+        self._shutdown_workers(deadline)
         unexpected = sum(
             1 for u in self._units.values()
             if u.state == "failed" and not u.injected
@@ -405,7 +415,7 @@ class SweepDaemon:
             return d
         return None
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self, slot: int) -> None:
         while True:
             with self._work:
                 d = None
@@ -431,22 +441,87 @@ class SweepDaemon:
                 lease = self.leases.acquire(d, entry.attempts)
                 self.wal.record_lease(d, lease.token, entry.attempts)
                 metrics.counter("serve.leases").inc()
-            self._run_lease(d, entry, lease)
+            self._run_lease(slot, d, entry, lease)
 
-    def _run_lease(self, d: str, entry: UnitEntry, lease) -> None:
-        """Drive one worker process to a terminal outcome (lock not held)."""
+    # -- workers -----------------------------------------------------------
+    def _worker(self, slot: int) -> tuple:
+        """The slot's live ``(Process, Connection)``, forking one if needed.
+
+        Forked on first need rather than at :meth:`start`: an idle daemon
+        holds no workers, and a worker inherits the process as it is
+        when its first lease arrives.
+        """
+        w = self._workers[slot]
+        if w is not None and w[0].is_alive():
+            return w
+        self._retire(slot)
         ctx = multiprocessing.get_context()
+        conn, child = ctx.Pipe()
+        # daemonic: should stop() never run, interpreter exit still
+        # terminates the worker instead of waiting on its idle loop
         p = ctx.Process(
-            target=worker_main,
-            args=(
-                entry.unit, self.cache_dir, d, lease.token, entry.attempts,
-                self.timeout, self.faults,
-            ),
+            target=worker_loop, args=(child, self.cache_dir),
+            name=f"serve-worker-{slot}", daemon=True,
         )
         try:
             p.start()
+        except OSError:
+            conn.close()
+            raise
+        finally:
+            child.close()
+        metrics.counter("serve.worker_spawns").inc()
+        with self._lock:
+            self._workers[slot] = (p, conn)
+            closed = self._closed
+        if closed:
+            self._retire(slot, kill=True)
+            raise OSError("daemon stopped")
+        return p, conn
+
+    def _retire(self, slot: int, kill: bool = False) -> None:
+        """Reap the slot's worker (killing it first if asked)."""
+        with self._lock:
+            w, self._workers[slot] = self._workers[slot], None
+        if w is None:
+            return
+        p, conn = w
+        if kill:
+            try:
+                p.kill()
+            except (OSError, AttributeError):
+                pass
+        p.join(5.0)
+        conn.close()
+
+    def _shutdown_workers(self, deadline: float) -> None:
+        """Ask every worker to exit, reap it by ``deadline``, kill stragglers."""
+        with self._lock:
+            workers = [w for w in self._workers if w is not None]
+            self._workers = [None] * self.jobs
+        for _, conn in workers:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already dead: joined below
+        for p, conn in workers:
+            p.join(max(0.1, deadline - time.monotonic()))
+            if p.is_alive():
+                p.kill()
+                p.join()
+            conn.close()
+
+    def _run_lease(self, slot: int, d: str, entry: UnitEntry, lease) -> None:
+        """Drive one lease on the slot's worker to a terminal outcome (lock not held)."""
+        try:
+            p, conn = self._worker(slot)
+            conn.send(
+                (entry.unit, d, entry.attempts, self.timeout, self.faults)
+            )
         except OSError as e:
-            self._finish_crash(d, entry, lease, f"worker spawn failed: {e!r}")
+            self._retire(slot, kill=True)
+            if not self._closed:
+                self._finish_crash(d, entry, lease, f"worker unavailable: {e!r}")
             return
         lease.pid = p.pid
         with self._lock:
@@ -458,9 +533,13 @@ class SweepDaemon:
             if self.timeout else None
         )
         fenced = timed_out = False
+        reply = None
         while True:
-            p.join(_POLL_S)
-            if p.exitcode is not None:
+            if conn.poll(_POLL_S) or not p.is_alive():
+                try:  # no reply when the worker died without one
+                    reply = conn.recv() if conn.poll(0) else None
+                except (EOFError, OSError):
+                    pass
                 break
             with self._lock:
                 renewed = self.leases.renew(d, lease.token)
@@ -470,22 +549,25 @@ class SweepDaemon:
             if hard_deadline is not None and time.monotonic() > hard_deadline:
                 timed_out = True
                 break
-        if fenced or timed_out:
-            try:
-                p.kill()
-            except (OSError, AttributeError):
-                pass
-            p.join(5.0)
+        if fenced or timed_out or reply is None:
+            # a fenced or wedged worker is killed; a dead one is reaped
+            self._retire(slot, kill=True)
         with self._lock:
             self._procs.pop(d, None)
-        if fenced:
-            return  # the reaper already requeued + journaled
+        if fenced or self._closed:
+            return  # the reaper (or stop) already requeued + journaled
         if timed_out:
             self._finish_fail(
                 d, entry, lease, FailureKind.TIMEOUT.value, injected=False,
             )
             return
-        code = p.exitcode
+        if reply is None:
+            # death by signal: the lease protocol's home turf
+            self._finish_crash(
+                d, entry, lease, f"worker died (exitcode {p.exitcode})"
+            )
+            return
+        code, err = reply
         if code == EXIT_OK:
             if self.cache.get(d) is not None:
                 self.complete(d, lease.token, source="run")
@@ -495,17 +577,9 @@ class SweepDaemon:
                 )
         elif code == EXIT_TRANSIENT:
             self._finish_transient(d, entry, lease)
-        elif code == EXIT_FAILED:
-            err = read_errfile(self.cache_dir, lease.token) or {}
+        else:  # EXIT_FAILED, with the worker's classified error
             self._finish_fail(
-                d, entry, lease,
-                err.get("kind", FailureKind.ERROR.value),
-                injected=bool(err.get("injected")),
-            )
-        else:
-            # death by signal: the lease protocol's home turf
-            self._finish_crash(
-                d, entry, lease, f"worker died (exitcode {code})"
+                d, entry, lease, err["kind"], injected=bool(err["injected"]),
             )
 
     # -- outcomes ----------------------------------------------------------
