@@ -1,8 +1,9 @@
 """repro.exec — the sweep execution engine.
 
 Decomposes experiments into independent :class:`WorkUnit`\\ s (one per
-benchmark x device x API x config), fans them out over a process pool,
-and memoizes each unit's result in a content-addressed cache keyed by
+benchmark x device x API x config), fans them out over warm forked
+workers (:mod:`repro.exec.dispatch`, the core the daemon shares), and
+memoizes each unit's result in a content-addressed cache keyed by
 the full :class:`DeviceSpec`, the resolved launch configuration, the
 package version and the model's source (see DESIGN.md §"Sweep execution
 engine").

@@ -49,7 +49,7 @@ DEFAULT_MAX_AGE_DAYS = 7.0
 #: record types that survive journal compaction: everything replay
 #: needs to classify a *terminal* run (in-flight reconstruction needs
 #: ``start``, but a terminal run's in-flight set is only history)
-_KEEP_RECORDS = ("run", "plan", "done", "fail", "demote", "state")
+_KEEP_RECORDS = ("run", "plan", "done", "fail", "state")
 
 #: journal states eligible for compaction
 _TERMINAL = ("complete", "interrupted", "failed")

@@ -5,9 +5,9 @@ workdir (``<cache>/journal/<run-id>.jsonl``) recording the lifecycle of
 every work unit the engine admits: ``start`` before execution, ``done``
 after the result is stored (the result itself is written atomically by
 :class:`~repro.exec.cache.ResultCache`), ``fail`` on terminal failure,
-plus run-level records (``run`` header, ``demote`` for degraded-mode
-transitions, a final ``state`` of ``complete`` / ``interrupted`` /
-``failed``).  The file is a :class:`repro.durable.Log`: every append
+plus run-level records (``run`` header, ``plan``, a final ``state`` of
+``complete`` / ``interrupted`` / ``failed``; replay skips the ``demote``
+records older engines wrote).  The file is a :class:`repro.durable.Log`: every append
 is flushed and fsynced, so the journal is the durable source of truth
 about what a killed process was doing.
 
@@ -94,7 +94,6 @@ class JournalReplay:
     resumed_from: Optional[str] = None
     #: torn/unparseable lines skipped during replay
     torn_lines: int = 0
-    demoted: bool = False
 
     @property
     def resumable(self) -> bool:
@@ -174,9 +173,6 @@ class RunJournal:
             {"t": "fail", "d": digest, "kind": kind, "injected": injected,
              "unix": time.time()}
         )
-
-    def record_demote(self, incidents: int, reason: str) -> None:
-        self.append({"t": "demote", "incidents": incidents, "reason": reason})
 
     def record_heartbeat(self, interval: float, **progress) -> None:
         """One liveness beat: pid + interval + whatever progress counters."""
@@ -274,8 +270,6 @@ def fold(rep: JournalReplay, rec: dict) -> None:
         else:
             rep.injected.discard(d)
         rep.in_flight.discard(d)
-    elif t == "demote":
-        rep.demoted = True
     elif t == "state":
         rep.state = rec.get("state", rep.state)
 

@@ -250,6 +250,5 @@ def lifecycle_summary(
         "resumed_from": replay.run_id if replay is not None else None,
     }
     if executor is not None:
-        out["demoted"] = executor.stats.demoted
         out["resumed_hits"] = executor.stats.resumed_hits
     return out

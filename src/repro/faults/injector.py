@@ -37,14 +37,14 @@ Fault kinds:
     drain, the ``interrupted`` journal state, and ``--resume`` replay,
     deterministically, from CI
 ``postkill``
-    the daemon-level chaos rule: die without reporting *after* the
-    unit's result is durably stored (``os._exit`` in a worker process)
-    on the first ``attempts`` attempts.  Fired by the sweep daemon's
-    workers via :meth:`FaultInjector.fire_post` between the cache put
-    and the completion report, it kills a worker *mid-lease* with the
-    work already durable — exercising lease reclamation, fencing of
-    the dead worker's grant, and the idempotent cache-hit re-dispatch
-    path (zero duplicated work)
+    die without reporting *after* the unit's result is durably stored
+    (``os._exit`` in a worker process) on the first ``attempts``
+    attempts.  Fired by the dispatch core's workers (engine and daemon
+    alike) via :meth:`FaultInjector.fire_post` between the cache put
+    and the reply, it kills a worker *mid-unit* with the work already
+    durable — exercising the daemon's lease reclamation and fencing,
+    and the dispatcher's finding of the durable result (zero
+    duplicated work)
 
 Plans come from config or the ``REPRO_FAULTS`` environment variable
 (inherited by pool workers), in either JSON form::
@@ -82,8 +82,8 @@ __all__ = [
 
 KINDS = ("raise", "transient", "hang", "kill", "corrupt", "interrupt", "postkill")
 
-#: set in each pool worker by the executor's initializer, so ``kill``
-#: faults only ever take down a disposable process
+#: set in each forked worker by its worker loop, so ``kill`` faults
+#: only ever take down a disposable process
 _POOL_WORKER = False
 
 
@@ -190,11 +190,11 @@ class FaultInjector:
     def fire_post(self, label: str, attempt: int = 1) -> None:
         """Inject any post-execution fault planned for this unit/attempt.
 
-        Called by the sweep daemon's workers *after* the result is
-        durably in the cache but *before* the completion report: a
-        ``postkill`` rule dies right here (``os._exit`` in a worker,
+        Called by the dispatch core's workers *after* the result is
+        durably in the cache but *before* the reply: a ``postkill``
+        rule dies right here (``os._exit`` in a worker,
         :class:`~repro.errors.WorkerCrash` in-process so tests survive),
-        leaving a reclaimable lease over an already-durable result.
+        leaving a dead worker over an already-durable result.
         """
         for rule in self.rules:
             if rule.kind != "postkill" or not self._rolls(rule, label):

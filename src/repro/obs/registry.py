@@ -81,7 +81,6 @@ class RunStatus:
     injected_failures: int
     #: labels of in-flight units owned by a presumed-dead run
     stale_units: list
-    demoted: bool
     resumed_from: Optional[str]
     heartbeat_age_s: Optional[float]
     heartbeat_interval_s: Optional[float]
@@ -220,7 +219,6 @@ class RunTracker:
             fail_kinds=dict(sorted(kinds.items())),
             injected_failures=len(rep.injected),
             stale_units=stale,
-            demoted=rep.demoted,
             resumed_from=rep.resumed_from,
             heartbeat_age_s=hb_age,
             heartbeat_interval_s=hb.get("interval"),

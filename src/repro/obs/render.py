@@ -92,8 +92,6 @@ def render_status(status, verbose: bool = True) -> str:
         )
         for label in s.stale_units:
             lines.append(f"              - {label}")
-    if s.demoted:
-        lines.append("  degraded:   run demoted to serial in-process execution")
     if verbose:
         lines.append(
             f"  journal:    {s.records} record(s), {s.torn_lines} torn, "

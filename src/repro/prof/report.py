@@ -187,13 +187,6 @@ def render_sweep(stats, title: str = "sweep") -> str:
             f"{getattr(stats, 'resumed_hits', 0)} unit(s) served from its "
             "journaled results"
         )
-    demoted = getattr(stats, "demoted", None)
-    if demoted:
-        lines.append(
-            f"DEGRADED MODE: demoted to sequential after "
-            f"{demoted.get('incidents')} broken-pool incident(s) "
-            f"({demoted.get('reason')})"
-        )
     if fails:
         lines += ["", render_failures(stats)]
     return "\n".join(lines)

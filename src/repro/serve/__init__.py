@@ -17,11 +17,11 @@ The package splits along the same lines the guarantees do:
 :mod:`repro.serve.admission`
     per-tenant quotas (429), queue backpressure and per-device circuit
     breakers (503)
-:mod:`repro.serve.worker`
-    the long-lived forked worker: one lease at a time over a pipe, each
-    outcome in the 0/1/75 classes of the exit-code contract
 :mod:`repro.serve.daemon`
-    the queue/dispatch core tying the above together
+    the queue tying the above together around the dispatch core it
+    shares with the sweep engine (:mod:`repro.exec.dispatch`: warm
+    forked workers, one lease each at a time, outcomes in the 0/1/75
+    classes of the exit-code contract)
 :mod:`repro.serve.api` / :mod:`repro.serve.client`
     the loopback HTTP surface and its tiny stdlib client
 """
@@ -38,7 +38,6 @@ from .client import ServeClient, ServeError, discover
 from .daemon import SweepDaemon
 from .lease import Lease, LeaseManager, default_ttl
 from .wal import QueueWAL, replay, serve_dir, wal_path
-from .worker import worker_loop
 
 __all__ = [
     "SweepDaemon",
@@ -59,5 +58,4 @@ __all__ = [
     "wal_path",
     "endpoint_path",
     "read_endpoint",
-    "worker_loop",
 ]

@@ -18,10 +18,8 @@ admitted or none of it is:
    failures, successes reset the count) trips *open*: submissions
    targeting it are rejected for ``cooldown`` seconds, after which the
    breaker goes *half-open* and admits again; the next success on the
-   device closes it, the next failure re-opens it.  This extends the
-   engine's degraded-mode idea (demote instead of churn) to the
-   admission surface: a crashing backend sheds load instead of eating
-   the queue.
+   device closes it, the next failure re-opens it.  A crashing backend
+   sheds load at the admission surface instead of eating the queue.
 """
 from __future__ import annotations
 

@@ -21,11 +21,14 @@
   bounded grace, queued work stays in the WAL for the next boot, and
   the exit code follows the 0/1/75 contract.
 
-Threading model: ``jobs`` dispatcher threads each own one long-lived
-worker *process*, forked when the thread first needs it, that holds at
-most one lease at a time and reports each outcome on a pipe (a crashed
-worker takes down nothing but its own lease, and the thread forks a
-replacement for its next one), plus one housekeeping thread that
+Threading model: the leases run on the dispatch core the sweep engine
+shares (:mod:`repro.exec.dispatch`): ``jobs`` dispatcher threads, each
+owning one long-lived worker *process*, forked when the thread first
+needs it, that holds at most one lease at a time and reports each
+outcome on a pipe (a crashed worker takes down nothing but its own
+lease, and the thread forks a replacement for its next one).  The
+daemon supplies the core's callbacks — lease the next unit, renew the
+lease between polls, journal the outcome — and one housekeeping thread
 heartbeats the WAL, flushes metrics snapshots, and reaps expired
 leases.  All queue state is guarded by a single condition variable;
 no worker process is ever awaited while the lock is held.
@@ -33,7 +36,6 @@ no worker process is ever awaited while the lock is held.
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import os
 import threading
 import time
@@ -41,13 +43,19 @@ from typing import Optional
 
 from .. import durable
 from .. import faults as faults_mod
-from ..errors import FailureKind
 from ..exec.cache import (
     ResultCache,
     canonical_results_json,
     result_from_json,
 )
-from ..exec.engine import retry_delay
+from ..exec.dispatch import (
+    EXIT_TRANSIENT,
+    POLL_S,
+    Dispatcher,
+    Job,
+    decide,
+    retry_delay,
+)
 from ..exec.unit import unit_digest, unit_from_dict, unit_to_dict
 from ..telemetry import log, metrics
 from .admission import (
@@ -61,14 +69,9 @@ from .admission import (
 from .lease import LeaseManager, default_ttl
 from .wal import QueueWAL, TicketEntry, UnitEntry
 from .wal import replay as wal_replay
-from .wal import serve_dir, wal_path
-from .worker import EXIT_OK, EXIT_TRANSIENT, worker_loop
+from .wal import wal_path
 
 __all__ = ["SweepDaemon", "SubmitOutcome"]
-
-#: how long a dispatcher waits between worker liveness polls (each poll
-#: also renews the lease, so the effective renewal period is this)
-_POLL_S = 0.2
 
 
 class SubmitOutcome(dict):
@@ -129,14 +132,16 @@ class SweepDaemon:
         #: digest -> monotonic time before which it must not re-dispatch
         #: (jittered transient backoff)
         self._not_before: dict = {}
-        self._procs: dict = {}  # digest -> live worker Process
-        #: dispatcher slot -> its worker's ``(Process, Connection)`` or None
-        self._workers: list = [None] * self.jobs
-        self._closed = False  # set by stop(): no lease outcome, no new worker
+        self._closed = False  # set by stop(): no lease outcome
         self._rejects: dict = {}  # tenant -> count
         self._stop = threading.Event()
         self._draining = threading.Event()
-        self._threads: list = []
+        #: the dispatch core running the leases (see repro.exec.dispatch)
+        self._core = Dispatcher(
+            self.jobs, self.cache, self._take, self._settle,
+            keep=self._keep, timeout=self.timeout, faults=self.faults,
+            name="serve",
+        )
         self.epoch = 0
         self.started_unix: Optional[float] = None
         self.reclaimed_on_boot = 0
@@ -177,13 +182,7 @@ class SweepDaemon:
         for d, u in self._units.items():
             if u.state == "queued":
                 self._pending.append(d)
-        for i in range(self.jobs):
-            t = threading.Thread(
-                target=self._dispatch_loop, args=(i,),
-                name=f"serve-dispatch-{i}", daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+        self._core.start()
         self._housekeeper = durable.every(
             self.hb_interval, self._housekeep, name="serve-housekeeping"
         )
@@ -223,19 +222,13 @@ class SweepDaemon:
             self._work.notify_all()
         self._housekeeper.stop()
         deadline = time.monotonic() + max(0.0, float(grace))
-        for t in self._threads:
-            t.join(max(0.1, deadline - time.monotonic()))
-        # grace exhausted: kill the stragglers' workers; their leases are
-        # requeued so the next boot re-dispatches (nothing is lost)
+        self._core.join(deadline)
+        # grace exhausted: the stragglers' leases are requeued so the next
+        # boot re-dispatches (nothing is lost); their dispatchers see
+        # _closed at the next poll and kill their workers
         with self._work:
             self._closed = True
             for lease in list(self.leases.active()):
-                p = self._procs.pop(lease.digest, None)
-                if p is not None:
-                    try:
-                        p.kill()
-                    except (OSError, AttributeError):
-                        pass
                 self.leases.release(lease.digest, lease.token)
                 entry = self._units.get(lease.digest)
                 if entry is not None and entry.state == "leased":
@@ -247,10 +240,8 @@ class SweepDaemon:
             state = "stopped" if remaining == 0 else "interrupted"
             self.wal.record_state(state)
             self.wal.close()
-        # a dispatcher whose worker was killed above notices within a poll
-        for t in self._threads:
-            t.join(5.0)
-        self._shutdown_workers(deadline)
+        self._core.join(time.monotonic() + 5.0)
+        self._core.shutdown(deadline)
         unexpected = sum(
             1 for u in self._units.values()
             if u.state == "failed" and not u.injected
@@ -415,20 +406,20 @@ class SweepDaemon:
             return d
         return None
 
-    def _dispatch_loop(self, slot: int) -> None:
-        while True:
-            with self._work:
+    def _take(self, slot: int) -> Optional[Job]:
+        """The core's ``take``: lease the next unit; None once stopping."""
+        with self._work:
+            while True:
                 d = None
                 while not self._stop.is_set():
                     d = self._next_dispatchable()
                     if d is not None:
                         break
-                    self._work.wait(_POLL_S)
+                    self._work.wait(POLL_S)
                 if d is None:
-                    return  # stopping
+                    return None
                 entry = self._units[d]
-                payload = self.cache.get(d)
-                if payload is not None:
+                if self.cache.get(d) is not None:
                     # dedup against work finished since this was queued
                     entry.state = "done"
                     entry.source = "cache"
@@ -441,146 +432,13 @@ class SweepDaemon:
                 lease = self.leases.acquire(d, entry.attempts)
                 self.wal.record_lease(d, lease.token, entry.attempts)
                 metrics.counter("serve.leases").inc()
-            self._run_lease(slot, d, entry, lease)
+                return Job(d, entry.unit, entry.label, entry.attempts, ctx=lease)
 
-    # -- workers -----------------------------------------------------------
-    def _worker(self, slot: int) -> tuple:
-        """The slot's live ``(Process, Connection)``, forking one if needed.
-
-        Forked on first need rather than at :meth:`start`: an idle daemon
-        holds no workers, and a worker inherits the process as it is
-        when its first lease arrives.
-        """
-        w = self._workers[slot]
-        if w is not None and w[0].is_alive():
-            return w
-        self._retire(slot)
-        ctx = multiprocessing.get_context()
-        conn, child = ctx.Pipe()
-        # daemonic: should stop() never run, interpreter exit still
-        # terminates the worker instead of waiting on its idle loop
-        p = ctx.Process(
-            target=worker_loop, args=(child, self.cache_dir),
-            name=f"serve-worker-{slot}", daemon=True,
-        )
-        try:
-            p.start()
-        except OSError:
-            conn.close()
-            raise
-        finally:
-            child.close()
-        metrics.counter("serve.worker_spawns").inc()
+    def _keep(self, job: Job) -> bool:
+        """The core's ``keep``: renew the lease; False once fenced or stopped."""
+        job.ctx.pid = job.pid
         with self._lock:
-            self._workers[slot] = (p, conn)
-            closed = self._closed
-        if closed:
-            self._retire(slot, kill=True)
-            raise OSError("daemon stopped")
-        return p, conn
-
-    def _retire(self, slot: int, kill: bool = False) -> None:
-        """Reap the slot's worker (killing it first if asked)."""
-        with self._lock:
-            w, self._workers[slot] = self._workers[slot], None
-        if w is None:
-            return
-        p, conn = w
-        if kill:
-            try:
-                p.kill()
-            except (OSError, AttributeError):
-                pass
-        p.join(5.0)
-        conn.close()
-
-    def _shutdown_workers(self, deadline: float) -> None:
-        """Ask every worker to exit, reap it by ``deadline``, kill stragglers."""
-        with self._lock:
-            workers = [w for w in self._workers if w is not None]
-            self._workers = [None] * self.jobs
-        for _, conn in workers:
-            try:
-                conn.send(None)
-            except OSError:
-                pass  # already dead: joined below
-        for p, conn in workers:
-            p.join(max(0.1, deadline - time.monotonic()))
-            if p.is_alive():
-                p.kill()
-                p.join()
-            conn.close()
-
-    def _run_lease(self, slot: int, d: str, entry: UnitEntry, lease) -> None:
-        """Drive one lease on the slot's worker to a terminal outcome (lock not held)."""
-        try:
-            p, conn = self._worker(slot)
-            conn.send(
-                (entry.unit, d, entry.attempts, self.timeout, self.faults)
-            )
-        except OSError as e:
-            self._retire(slot, kill=True)
-            if not self._closed:
-                self._finish_crash(d, entry, lease, f"worker unavailable: {e!r}")
-            return
-        lease.pid = p.pid
-        with self._lock:
-            self._procs[d] = p
-        # backstop only: the worker enforces --timeout itself (SIGALRM);
-        # this catches a worker wedged beyond even that
-        hard_deadline = (
-            time.monotonic() + self.timeout + 10.0
-            if self.timeout else None
-        )
-        fenced = timed_out = False
-        reply = None
-        while True:
-            if conn.poll(_POLL_S) or not p.is_alive():
-                try:  # no reply when the worker died without one
-                    reply = conn.recv() if conn.poll(0) else None
-                except (EOFError, OSError):
-                    pass
-                break
-            with self._lock:
-                renewed = self.leases.renew(d, lease.token)
-            if not renewed:
-                fenced = True  # the reaper reclaimed us; stop the holder
-                break
-            if hard_deadline is not None and time.monotonic() > hard_deadline:
-                timed_out = True
-                break
-        if fenced or timed_out or reply is None:
-            # a fenced or wedged worker is killed; a dead one is reaped
-            self._retire(slot, kill=True)
-        with self._lock:
-            self._procs.pop(d, None)
-        if fenced or self._closed:
-            return  # the reaper (or stop) already requeued + journaled
-        if timed_out:
-            self._finish_fail(
-                d, entry, lease, FailureKind.TIMEOUT.value, injected=False,
-            )
-            return
-        if reply is None:
-            # death by signal: the lease protocol's home turf
-            self._finish_crash(
-                d, entry, lease, f"worker died (exitcode {p.exitcode})"
-            )
-            return
-        code, err = reply
-        if code == EXIT_OK:
-            if self.cache.get(d) is not None:
-                self.complete(d, lease.token, source="run")
-            else:
-                self._finish_fail(
-                    d, entry, lease, FailureKind.ERROR.value, injected=False,
-                )
-        elif code == EXIT_TRANSIENT:
-            self._finish_transient(d, entry, lease)
-        else:  # EXIT_FAILED, with the worker's classified error
-            self._finish_fail(
-                d, entry, lease, err["kind"], injected=bool(err["injected"]),
-            )
+            return not self._closed and self.leases.renew(job.digest, job.ctx.token)
 
     # -- outcomes ----------------------------------------------------------
     def complete(self, d: str, token: Optional[int], source: str = "run") -> bool:
@@ -593,6 +451,8 @@ class SweepDaemon:
         to the current holder's, so nothing needs undoing.
         """
         with self._work:
+            if self._closed:
+                return False  # stop() already requeued and journaled it
             if token is not None and not self.leases.release(d, token):
                 self.wal.record_fenced(d, token)
                 metrics.counter("serve.fenced").inc()
@@ -613,93 +473,58 @@ class SweepDaemon:
             self._work.notify_all()
         return True
 
-    def _finish_transient(self, d: str, entry: UnitEntry, lease) -> None:
+    def _settle(self, job: Job, code: int, reply: dict) -> None:
+        """The core's ``settle``: journal the policy's verdict under the lease."""
+        d, lease = job.digest, job.ctx
+        verdict = decide(code, job.attempt, self.retries)
+        if verdict == "done":
+            self.complete(d, lease.token, source="run")
+            return
+        err = reply["err"]
         with self._work:
+            if self._closed:
+                return  # stop() already requeued and journaled the lease
             if not self.leases.release(d, lease.token):
                 self.wal.record_fenced(d, lease.token)
                 metrics.counter("serve.fenced").inc()
                 return
-            if entry.attempts <= self.retries:
+            entry = self._units[d]
+            if verdict == "retry":
+                reason = "transient" if code == EXIT_TRANSIENT else err["message"]
                 entry.state = "queued"
-                self.wal.record_requeue(d, lease.token, "transient")
+                self.wal.record_requeue(d, lease.token, reason)
                 # jittered exponential backoff, seeded from the digest:
                 # concurrent tenants retrying the same transient spread
                 # out instead of thundering-herding the dispatchers
                 self._not_before[d] = time.monotonic() + retry_delay(
-                    self.backoff, entry.attempts, d
+                    self.backoff, job.attempt, d
                 )
                 self._pending.append(d)
-                metrics.counter("serve.retries").inc()
+                if code == EXIT_TRANSIENT:
+                    metrics.counter("serve.retries").inc()
+                else:
+                    metrics.counter("serve.reclaims").inc()
+                    log.warn(
+                        "serve.reclaim",
+                        f"lease {lease.token} on {entry.label} reclaimed "
+                        f"({reason}); re-dispatching",
+                    )
             else:
                 entry.state = "failed"
-                entry.kind = FailureKind.TRANSIENT.value
+                entry.kind = err["kind"]
+                entry.injected = bool(err["injected"])
                 self.wal.record_fail(
-                    d, lease.token, entry.kind, False, entry.attempts
+                    d, lease.token, entry.kind, entry.injected, entry.attempts
                 )
                 metrics.counter("serve.failed").inc()
+                if entry.injected:
+                    metrics.counter("serve.failed.injected").inc()
                 self._record_breaker(entry, success=False)
-            self._work.notify_all()
-
-    def _finish_crash(self, d: str, entry: UnitEntry, lease, reason: str) -> None:
-        # the worker died — but its result may already be durable
-        # (e.g. a postkill chaos rule): durable means done, not lost
-        if self.cache.get(d) is not None:
-            self.complete(d, lease.token, source="run")
-            return
-        with self._work:
-            if not self.leases.release(d, lease.token):
-                self.wal.record_fenced(d, lease.token)
-                metrics.counter("serve.fenced").inc()
-                return
-            if entry.attempts <= self.retries:
-                entry.state = "queued"
-                self.wal.record_requeue(d, lease.token, reason)
-                self._not_before[d] = time.monotonic() + retry_delay(
-                    self.backoff, entry.attempts, d
-                )
-                self._pending.append(d)
-                metrics.counter("serve.reclaims").inc()
                 log.warn(
-                    "serve.reclaim",
-                    f"lease {lease.token} on {entry.label} reclaimed "
-                    f"({reason}); re-dispatching",
+                    "serve.failed",
+                    f"unit {entry.label} failed terminally ({entry.kind}"
+                    f"{', injected' if entry.injected else ''})",
                 )
-            else:
-                entry.state = "failed"
-                entry.kind = FailureKind.CRASH.value
-                injected = (
-                    self.faults is not None
-                    and self.faults.planned(entry.label, "kill") is not None
-                )
-                entry.injected = injected
-                self.wal.record_fail(
-                    d, lease.token, entry.kind, injected, entry.attempts
-                )
-                metrics.counter("serve.failed").inc()
-                self._record_breaker(entry, success=False)
-            self._work.notify_all()
-
-    def _finish_fail(
-        self, d: str, entry: UnitEntry, lease, kind: str, injected: bool
-    ) -> None:
-        with self._work:
-            if not self.leases.release(d, lease.token):
-                self.wal.record_fenced(d, lease.token)
-                metrics.counter("serve.fenced").inc()
-                return
-            entry.state = "failed"
-            entry.kind = kind
-            entry.injected = injected
-            self.wal.record_fail(d, lease.token, kind, injected, entry.attempts)
-            metrics.counter("serve.failed").inc()
-            if injected:
-                metrics.counter("serve.failed.injected").inc()
-            self._record_breaker(entry, success=False)
-            log.warn(
-                "serve.failed",
-                f"unit {entry.label} failed terminally ({kind}"
-                f"{', injected' if injected else ''})",
-            )
             self._work.notify_all()
 
     def _record_breaker(self, entry: UnitEntry, success: bool) -> None:
@@ -916,4 +741,4 @@ class SweepDaemon:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._work.wait(min(remaining, _POLL_S))
+                self._work.wait(min(remaining, POLL_S))

@@ -15,7 +15,7 @@ ETA comes from the rolling mean of recent per-unit completion times
 (window of 32), which tracks warm/cold phase changes much faster than
 a global mean.
 
-Thread-safe: the parallel engine ticks it from pool done-callbacks.
+Thread-safe: the parallel engine ticks it from its dispatcher threads.
 """
 from __future__ import annotations
 

@@ -23,11 +23,11 @@ When no tracer is installed (the default), :func:`span` and
 :func:`event` are no-ops that allocate nothing — the telemetry-off
 fast path the overhead test holds to budget.
 
-Cross-process propagation: the engine hands each pool worker the pair
-``(trace_id, parent_span_id)``; the worker builds its own
-:class:`Tracer` with :func:`worker_tracer`, whose span IDs are
+Cross-process propagation: the engine hands each worker the pair
+``(trace_id, parent_span_id)`` in its unit messages; the worker builds
+its own :class:`Tracer` with :func:`worker_tracer`, whose span IDs are
 PID-prefixed (collision-free by construction), and ships its finished
-events home inside the ok/err payload; the parent folds them in with
+events home inside the ok/err reply; the parent folds them in with
 :meth:`Tracer.absorb`.
 """
 from __future__ import annotations

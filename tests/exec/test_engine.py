@@ -4,12 +4,13 @@ Includes satellite (c): a cached result is byte-identical to a fresh
 simulation.
 """
 import json
+import multiprocessing
 
 import pytest
 
 from repro import exec as rexec
 from repro.arch.specs import GTX280, GTX480
-from repro.exec import engine as engine_mod
+from repro.exec import dispatch as dispatch_mod
 
 
 def canon(ur, wall=True):
@@ -80,6 +81,71 @@ def test_prewarm_parallel_matches_sequential(tmp_path):
         )
 
 
+def test_no_worker_outlives_prewarm(tmp_path):
+    ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress="off")
+    assert ex.prewarm(UNITS) == len(UNITS)
+    assert ex.stats.misses == len(UNITS)
+    # joined, not merely signalled: their CPU counts as this process's
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_an_expired_drain(tmp_path):
+    # the driver is SIGINTed (from a worker) while the other worker
+    # hangs far past the grace: the hung unit is abandoned, its worker
+    # killed and reaped before prewarm returns
+    from repro.exec import lifecycle
+
+    hung, interrupter = UNITS[0], UNITS[1]
+    ex = rexec.SweepExecutor(
+        jobs=2, cache=tmp_path, progress="off",
+        faults=f"hang:{hung.label()}:1:1:120;interrupt:{interrupter.label()}",
+    )
+    with lifecycle.GracefulShutdown(ex, grace=1.0) as gs:
+        ex.prewarm(UNITS)
+    assert gs.interrupted and ex.draining
+    assert hung.label() not in {r.label for r in ex.stats.records}
+    assert ex.stats.failures == []
+    assert multiprocessing.active_children() == []
+
+
+def test_concurrent_settles_lose_no_update(tmp_path):
+    # more dispatcher threads than cores, a tiny switch interval and
+    # retries re-entering the shared queue: every unit must still be
+    # recorded, journaled done and cached exactly once
+    import sys
+
+    from repro.arch.specs import ALL_DEVICES
+    from repro.exec import journal as jmod
+    from repro.exec.journal import RunJournal
+
+    units = [
+        rexec.make_unit(bench, api, spec, "small")
+        for bench in ("TranP", "Reduce")
+        for spec in ALL_DEVICES.values()
+        for api in ("cuda", "opencl")
+        if api == "opencl" or spec.supports_cuda()
+    ]
+    j = RunJournal.create(tmp_path, "stress")
+    ex = rexec.SweepExecutor(
+        jobs=4, cache=tmp_path, journal=j, progress="off", backoff=0.001,
+        faults="transient:*:0.5:1",
+    )
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert ex.prewarm(units) == len(units)
+    finally:
+        sys.setswitchinterval(before)
+    j.close("complete")
+    labels = [r.label for r in ex.stats.records]
+    assert sorted(labels) == sorted(u.label() for u in units)
+    assert ex.stats.failures == []
+    rep = jmod.load(j.path)
+    assert rep.completed == {ex.digest_of(u) for u in units}
+    assert not rep.in_flight
+    assert all(ex.digest_of(u) in ex.cache for u in units)
+
+
 def test_prewarm_dedups_and_skips_cached(tmp_path):
     ex = rexec.SweepExecutor(cache=tmp_path)
     assert ex.prewarm([UNIT, UNIT, UNIT]) == 1
@@ -92,12 +158,10 @@ def test_pool_failure_falls_back_to_sequential(monkeypatch, capsys):
     def broken(*a, **k):
         raise OSError("no semaphores in this sandbox")
 
-    monkeypatch.setattr(
-        engine_mod.concurrent.futures, "ProcessPoolExecutor", broken
-    )
+    monkeypatch.setattr(dispatch_mod, "spawn_worker", broken)
     ex = rexec.SweepExecutor(jobs=4)
     assert ex.prewarm(UNITS[:2]) == 2
-    assert ex.stats.misses == 2
+    assert ex.stats.misses == 2 and ex.stats.failures == []
     assert "falling back to sequential" in capsys.readouterr().err
     assert ex.run_unit(UNITS[0]).cached
 

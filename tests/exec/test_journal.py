@@ -137,10 +137,19 @@ class TestReplay:
         rep = jmod.load(j.path)
         assert rep.state == "interrupted" and rep.resumable
 
-    def test_demote_record_round_trips(self, tmp_path):
+    def test_parent_demote_record_still_folds(self, tmp_path):
+        # journals written before demotion was removed may hold a
+        # `demote` record: replay skips it and classifies the rest
         j = self._journal(tmp_path)
-        j.record_demote(3, "worker death broke the pool")
-        assert jmod.load(j.path).demoted
+        j.append({"t": "demote", "incidents": 3,
+                  "reason": "worker death broke the pool"})
+        j.close("interrupted")
+        rep = jmod.load(j.path)
+        assert rep.state == "interrupted" and rep.resumable
+        assert rep.summary() == {
+            "from": "run-1", "state": "interrupted", "completed": 1,
+            "failed": 1, "in_flight": 1, "torn_lines": 0,
+        }
 
     def test_summary_shape(self, tmp_path):
         rep = jmod.load(self._journal(tmp_path).path)

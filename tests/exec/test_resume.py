@@ -182,3 +182,32 @@ def test_drain_after_last_unit_ends_like_a_clean_run(tmp_path):
     (rep,) = [jmod.load(p) for p in jmod.journal_dir(cache).glob("*.jsonl")]
     assert rep.state == "complete" and not rep.in_flight
     assert out_json.read_bytes() == ref_json.read_bytes()
+
+
+def test_journal_with_a_demote_record_resumes(tmp_path):
+    # an interrupted journal as older engines wrote it, with a degraded-
+    # mode `demote` record: --resume folds it and finishes the sweep
+    from repro.arch.specs import GTX480
+    from repro.exec import make_unit, unit_digest
+
+    args = ["TranP", "--device", "GTX480", "--api", "cuda", "--size",
+            "small", "--jobs", "1"]
+    unit = make_unit("TranP", "cuda", GTX480, "small")
+    cache = tmp_path / "cache"
+    old = jmod.RunJournal.create(cache, "old-run", command="repro.benchsuite")
+    old.record_plan(1, 1)
+    old.record_start(unit_digest(unit), unit.label())
+    old.append({"t": "demote", "incidents": 3,
+                "reason": "worker death broke the pool"})
+    old.close("interrupted")
+    out_json = tmp_path / "out.json"
+    resumed = run_cli(
+        args + ["--results-json", str(out_json), "--resume", "old-run"], cache
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    (rep,) = [
+        jmod.load(p) for p in jmod.journal_dir(cache).glob("*.jsonl")
+        if p.stem != "old-run"
+    ]
+    assert rep.resumed_from == "old-run" and rep.state == "complete"
+    assert json.loads(out_json.read_text())["results"]

@@ -1,5 +1,5 @@
 """Seeded retry jitter: deterministic, bounded, digest-decorrelated."""
-from repro.exec.engine import retry_delay
+from repro.exec.dispatch import retry_delay
 
 
 class TestRetryDelay:

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.serve import worker as worker_mod
+from repro.exec import dispatch as worker_mod
 from repro.serve.daemon import SweepDaemon
 from repro.serve.wal import wal_path
 from repro.telemetry import metrics
@@ -121,9 +121,12 @@ def test_timeout_leaves_the_worker_serving(tmp_path, pids, spawns):
     try:
         row = run_ticket(d, SOBEL_CUDA)
         assert row["state"] == "failed" and row["kind"] == "TIMEOUT"
+        # the planted hang is what tripped the alarm: an expected failure
+        assert row["injected"] is True
         assert run_ticket(d, SOBEL_CL)["state"] == "done"
     finally:
-        d.stop(grace=30)
+        summary = d.stop(grace=30)
+    assert summary["exit_code"] == 0
     assert len(pids()) == 2 and len(set(pids())) == 1
     assert spawns() == 1
 
