@@ -1,7 +1,7 @@
 """The one dispatch core: warm forked workers, one unit each at a time.
 
 Both front ends run their cold units here — the sweep engine's parallel
-prewarm (:class:`~repro.exec.engine.SweepExecutor` at ``jobs > 1``) and
+queue (:class:`~repro.exec.engine.SweepExecutor` at ``jobs > 1``) and
 the daemon's leases (:class:`~repro.serve.daemon.SweepDaemon`).  The
 core is three parts:
 
@@ -10,7 +10,8 @@ core is three parts:
 * :class:`Dispatcher` — ``jobs`` threads, each owning one lazily
   forked worker, each polling it for the reply under a hard deadline;
 * :func:`decide` — the outcome policy, which the engine's in-process
-  path asks too.
+  path asks too: its calling thread runs :func:`run_attempt` and
+  settles on the same ``take``/``settle`` queue the workers serve.
 
 A worker holds one unit at a time, so a worker that dies names its own
 unit: nothing needs probing, and the thread forks a replacement when it

@@ -4,15 +4,18 @@ A :class:`SweepExecutor` serves work units through three layers:
 
 1. an in-process memo table (digest -> payload),
 2. an optional on-disk :class:`~repro.exec.cache.ResultCache`,
-3. actual simulation — in process when ``jobs == 1``, or on the warm
-   forked workers of the dispatch core (:mod:`repro.exec.dispatch`,
-   the same core the daemon runs its leases on) when ``jobs > 1``.
+3. actual simulation, through one queue of cold units whose attempts,
+   backoff and verdicts are the same whoever runs them: the warm forked
+   workers of the dispatch core (:mod:`repro.exec.dispatch`, the same
+   core the daemon runs its leases on) when ``jobs > 1`` and more than
+   one unit is cold, the calling thread otherwise.
 
 All results — hits and misses alike — are round-tripped through the
 JSON serialization layer, so the rendered reports are byte-identical
 whatever mix of cache hits, in-process runs and workers produced them.
 If no worker can be forked (no semaphores in a sandbox, fork bans,
-...), the engine warns and finishes the sweep in process.
+...), the engine warns once and the calling thread runs the rest of
+the same queue; the failed fork costs the unit no attempt.
 
 Partial failure degrades gracefully instead of killing the sweep:
 
@@ -22,10 +25,11 @@ Partial failure degrades gracefully instead of killing the sweep:
   ``os._exit``) names its own unit; the unit is retried on a fresh
   worker and recorded as a CRASH once ``retries`` are spent;
 * :class:`~repro.errors.TransientError` failures are retried with
-  jittered exponential backoff (``retries``/``backoff``); both paths
-  ask the core's one outcome policy (:func:`~repro.exec.dispatch.decide`);
+  jittered exponential backoff (``retries``/``backoff``), waited out
+  in the queue rather than in a sleep; the core's one outcome policy
+  (:func:`~repro.exec.dispatch.decide`) judges every attempt;
 * ``timeout`` seconds of wall clock cut a hung unit off (SIGALRM where
-  the unit executes, worker or main);
+  the unit executes, worker or calling thread);
 * every terminal failure is recorded as a :class:`FailedUnit` in
   :class:`SweepStats` and the unit's digest is quarantined: later
   requests raise :class:`~repro.errors.UnitFailed` instead of
@@ -64,6 +68,7 @@ from ..telemetry import spans as tspans
 from ..telemetry.progress import ProgressLine
 from .cache import ResultCache, result_from_json
 from .dispatch import (
+    EXIT_OK,
     POLL_S,
     UNAVAILABLE,
     Dispatcher,
@@ -84,7 +89,7 @@ class UnitRecord:
 
     label: str
     digest: str
-    seconds: float  # wall seconds spent serving this request
+    seconds: float  # wall seconds: a hit's serve, or the run's own
     sim_seconds: float  # simulation seconds stored with the result
     cached: bool
     source: str  # "mem" | "disk" | "run"
@@ -277,14 +282,6 @@ class SweepExecutor:
         except OSError:
             pass  # a full disk must not kill the sweep it describes
 
-    def _jstart(self, digest: str, unit: WorkUnit, attempt: int) -> None:
-        if self.journal is not None:
-            self.journal.record_start(digest, unit.label(), attempt)
-
-    def _jdone(self, digest: str, source: str = "run") -> None:
-        if self.journal is not None:
-            self.journal.record_done(digest, source)
-
     # -- lookup layers ----------------------------------------------------
     def digest_of(self, unit: WorkUnit) -> str:
         d = self._digests.get(unit)
@@ -304,14 +301,11 @@ class SweepExecutor:
                 return payload, "disk"
         return None, "run"
 
-    def _store(
-        self, digest: str, payload: dict, label: str, put: bool = True,
-    ) -> None:
-        """Memoize ``payload``; ``put`` it to the cache unless a worker did."""
+    def _store(self, unit: WorkUnit, digest: str, payload: dict) -> None:
+        """Account one run, whose attempt already put ``payload`` durably."""
         self._mem[digest] = payload
+        label = unit.label()
         if self.cache is not None:
-            if put:
-                self.cache.put(digest, payload)
             if self.faults is not None and self.faults.corrupts(label):
                 faults_mod.corrupt_file(self.cache.path_for(digest))
                 metrics.counter("faults.injected.corrupt").inc()
@@ -321,24 +315,16 @@ class SweepExecutor:
         metrics.histogram("exec.unit_sim_s").observe(payload["seconds"])
         # the result is durably in the cache before the journal says
         # done — a crash between the two re-runs, never fabricates
-        self._jdone(digest)
+        if self.journal is not None:
+            self.journal.record_done(digest)
+        self.stats.record(unit, digest, payload["seconds"], payload, "run")
+        if self._progress_line is not None:
+            self._progress_line.tick(seconds=payload["seconds"])
 
     # -- failure bookkeeping ----------------------------------------------
-    def _note_retry(
-        self, label: str, attempt: int, delay: float, error: str,
-    ) -> None:
-        metrics.counter("exec.retries").inc()
-        tspans.event(
-            "retry.backoff", "unit", label=label, attempt=attempt, sleep_s=delay,
-        )
-        log.info(
-            "unit.retry", label=label, attempt=attempt,
-            sleep_s=round(delay, 4), error=error,
-        )
-
     def _record_failure(
         self, unit: WorkUnit, digest: str, err: dict, attempts: int,
-    ) -> FailedUnit:
+    ) -> None:
         kind, error, injected = err["kind"], err["message"], bool(err["injected"])
         failed = FailedUnit(
             label=unit.label(), digest=digest, kind=kind, error=error,
@@ -363,7 +349,7 @@ class SweepExecutor:
         )
         if self._progress_line is not None:
             self._progress_line.note_failure()
-        return failed
+            self._progress_line.tick()  # advances done/total only
 
     def _raise_failed(self, failed: FailedUnit):
         raise UnitFailed(
@@ -386,16 +372,21 @@ class SweepExecutor:
         with tspans.span("unit.serve", "unit", label=unit.label()) as serve:
             payload, source = self._lookup(digest)
             if payload is None:
-                if self.draining:
-                    # no new admissions during a drain; the journal's
-                    # missing `done` record re-enqueues this on --resume
+                self._run_queue({digest: unit})
+                if digest in self._failed:
+                    self._raise_failed(self._failed[digest])
+                payload = self._mem.get(digest)
+                if payload is None:
+                    # a drain stopped admission before the unit ran; the
+                    # journal's missing `done` record re-enqueues it on
+                    # --resume
                     raise SweepInterrupted(unit.label())
-                payload = self._simulate_with_retry(unit, digest)
             if serve is not None:
                 serve.attrs["source"] = source
-        self.stats.record(
-            unit, digest, time.perf_counter() - t0, payload, source
-        )
+        if source != "run":  # a run was recorded when it settled
+            self.stats.record(
+                unit, digest, time.perf_counter() - t0, payload, source
+            )
         return result_from_json(payload, cached=source != "run")
 
     def run_units(self, units: Iterable[WorkUnit]) -> list[UnitResult]:
@@ -418,25 +409,6 @@ class SweepExecutor:
                 # left for --resume
                 continue
         return out
-
-    def _simulate_with_retry(self, unit: WorkUnit, digest: str) -> dict:
-        """In-process execution with timeout, bounded retry, quarantine."""
-        attempt = 0
-        while True:
-            attempt += 1
-            self._jstart(digest, unit, attempt)
-            try:
-                payload = run_attempt(unit, attempt, self.faults, self.timeout)
-            except Exception as e:
-                code, err = failure(e, unit.label(), self.faults)
-                if decide(code, attempt, self.retries) == "retry":
-                    delay = retry_delay(self.backoff, attempt, digest)
-                    self._note_retry(unit.label(), attempt, delay, str(e))
-                    time.sleep(delay)
-                    continue
-                self._raise_failed(self._record_failure(unit, digest, err, attempt))
-            self._store(digest, payload, unit.label())
-            return payload
 
     def prewarm(self, units: Sequence[WorkUnit]):
         """Simulate every not-yet-cached unit, fanning out when asked.
@@ -480,56 +452,51 @@ class SweepExecutor:
                 "sweep.prewarm", "engine",
                 units=len(seen), todo=len(todo), jobs=self.jobs,
             ):
-                if self.jobs > 1 and len(todo) > 1 and not self.draining:
-                    self._prewarm_parallel(todo)
-                # anything no worker produced runs in process — except
-                # quarantined units, which are never re-executed
-                for d, u in todo.items():
-                    if self.draining:
-                        break  # stop admission; --resume picks these up
-                    if d in self._failed or self._lookup(d)[0] is not None:
-                        continue
-                    t0 = time.perf_counter()
-                    try:
-                        payload = self._simulate_with_retry(u, d)
-                    except UnitFailed:
-                        # failure count was bumped by _record_failure;
-                        # the tick only advances done/total
-                        if prog is not None:
-                            prog.tick()
-                        continue
-                    wall = time.perf_counter() - t0
-                    self.stats.record(u, d, wall, payload, "run")
-                    if prog is not None:
-                        prog.tick(seconds=wall)
+                self._run_queue(todo)
         finally:
             if prog is not None:
                 prog.close()
             self._progress_line = None
         return len(todo)
 
-    # -- parallel fan-out --------------------------------------------------
-    def _prewarm_parallel(self, todo: dict) -> None:
-        """Run ``todo`` on the dispatch core's warm workers.
+    # -- the cold-unit queue -----------------------------------------------
+    def _attempt(self, unit: WorkUnit, job: Job) -> tuple:
+        """Run ``job`` on this thread: ``(code, reply)`` as a worker replies."""
+        try:
+            payload = run_attempt(unit, job.attempt, self.faults, self.timeout)
+        except Exception as e:
+            code, err = failure(e, unit.label(), self.faults)
+            return code, {"err": err}
+        if self.cache is not None:
+            self.cache.put(job.digest, payload)  # durable before settled
+        return EXIT_OK, {"ok": payload}
 
-        Retries wait out their backoff in the queue; a drain stops
-        admission and, once its grace expires, abandons what is still
-        running (journal ``start`` without ``done``: resume re-runs it).
-        Every worker is reaped before this returns, so the workers' CPU
-        is accounted to this process's children.
+    def _run_queue(self, todo: dict) -> None:
+        """Run ``todo`` (digest -> unit) through one ``take``/``settle`` queue.
+
+        Workers pull from it when ``jobs > 1`` and more than one unit is
+        cold, else (or once no worker can be forked) the calling thread,
+        the one SIGALRM's ``timeout`` reaches.  Retries wait out their
+        backoff in the queue; a drain stops admission and, once its
+        grace expires, abandons what is still running (journal ``start``
+        without ``done``: resume re-runs it).  Every worker is reaped
+        before this returns, so its CPU counts as this process's children's.
         """
         cond = threading.Condition()
         queue = collections.deque(todo)
         attempts = dict.fromkeys(todo, 0)
         not_before: dict = {}
         running = 0
-        fallback = False
-        prog = self._progress_line
+        forked = self.jobs > 1 and len(todo) > 1
 
-        def take(slot):
+        def take(slot=None):
             nonlocal running
             with cond:
-                while not (self.draining or fallback or core.error):
+                while not self.draining:
+                    # dispatcher threads (the calling thread's slot is
+                    # None) end once forking failed or a callback raised
+                    if slot is not None and (not forked or core.error):
+                        break
                     now = time.monotonic()
                     ready = (d for d in queue if not_before.get(d, 0.0) <= now)
                     d = next(ready, None)
@@ -538,58 +505,68 @@ class SweepExecutor:
                         attempts[d] += 1
                         running += 1
                         u = todo[d]
-                        self._jstart(d, u, attempts[d])
+                        if self.journal is not None:
+                            self.journal.record_start(d, u.label(), attempts[d])
                         return Job(d, unit_to_dict(u), u.label(), attempts[d])
                     if not queue and not running:
                         break
-                    cond.wait(POLL_S)
+                    # every queued unit is backing off: wake when the
+                    # first one may run (a settle wakes us sooner)
+                    due = min((not_before[q] for q in queue), default=now + POLL_S)
+                    cond.wait(min(POLL_S, due - now))
                 cond.notify_all()
                 return None
 
         def settle(job, code, reply):
-            nonlocal running, fallback
+            nonlocal running, forked
             d, u = job.digest, todo[job.digest]
             verdict = decide(code, job.attempt, self.retries)
             with cond:
                 running -= 1
                 cond.notify_all()
                 if code == UNAVAILABLE:
-                    # the in-process loop after this runs what is left
-                    if not fallback:
+                    # never ran: back in the queue at the same attempt,
+                    # for the calling thread to run once the workers end
+                    if forked:
                         log.warn(
                             "dispatch.unavailable",
                             f"{reply['err']['message']}; falling back to "
                             "sequential execution",
                         )
-                    fallback = True
+                    forked = False
+                    attempts[d] -= 1
+                    queue.appendleft(d)
                 elif verdict == "done":
-                    payload = reply["ok"]
-                    self._store(d, payload, u.label(), put=False)
-                    self.stats.record(u, d, payload["seconds"], payload, "run")
-                    if prog is not None:
-                        prog.tick(seconds=payload["seconds"])
+                    self._store(u, d, reply["ok"])
                 elif verdict == "retry":
                     delay = retry_delay(self.backoff, job.attempt, d)
-                    self._note_retry(
-                        u.label(), job.attempt, delay, reply["err"]["message"],
+                    metrics.counter("exec.retries").inc()
+                    tspans.event(
+                        "retry.backoff", "unit", label=job.label,
+                        attempt=job.attempt, sleep_s=delay,
+                    )
+                    log.info(
+                        "unit.retry", label=job.label, attempt=job.attempt,
+                        sleep_s=round(delay, 4), error=reply["err"]["message"],
                     )
                     not_before[d] = time.monotonic() + delay
                     queue.append(d)
                 else:
                     self._record_failure(u, d, reply["err"], job.attempt)
-                    if prog is not None:
-                        prog.tick()
 
-        tr = tspans.tracer()
-        core = Dispatcher(
-            self.jobs, self.cache, take, settle,
-            keep=lambda job: not self._grace_expired(),
-            timeout=self.timeout, faults=self.faults,
-            span_ctx=(tr.trace_id, tspans.current_span_id()) if tr else None,
-        )
-        try:
-            core.start().join()
-        finally:
-            core.shutdown(time.monotonic() + 5.0)
-        if core.error is not None:
-            raise core.error
+        if forked:
+            tr = tspans.tracer()
+            core = Dispatcher(
+                self.jobs, self.cache, take, settle,
+                keep=lambda job: not self._grace_expired(),
+                timeout=self.timeout, faults=self.faults,
+                span_ctx=(tr.trace_id, tspans.current_span_id()) if tr else None,
+            )
+            try:
+                core.start().join()
+            finally:
+                core.shutdown(time.monotonic() + 5.0)
+            if core.error is not None:
+                raise core.error
+        while (job := take()) is not None:
+            settle(job, *self._attempt(todo[job.digest], job))

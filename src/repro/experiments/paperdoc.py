@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 
 from .. import exec as rexec
+from .. import telemetry
+from ..telemetry import spans as tspans
 from . import EXPERIMENTS
 from .report import ExperimentResult, fmt
 from .runner import add_sweep_arguments, build_executor, collect_units, finish_sweep
@@ -161,9 +163,14 @@ def main(argv=None) -> int:
     ap.add_argument("--only", nargs="*", default=None)
     add_sweep_arguments(ap)
     args = ap.parse_args(argv)
-    with rexec.use_executor(build_executor(args)) as ex:
+    tr = telemetry.start_run(args, "repro.experiments.paperdoc")
+    with rexec.use_executor(build_executor(args)) as ex, tspans.use_tracer(tr):
         text = generate(size=args.size, names=args.only)
         finish_sweep(args, ex)
+    telemetry.finish_run(
+        args, tr, "repro.experiments.paperdoc", executor=ex,
+        cache_dir=None if ex.cache is None else ex.cache.root,
+    )
     with open(args.output, "w") as f:
         f.write(text)
     print(f"wrote {args.output}")

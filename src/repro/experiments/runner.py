@@ -95,7 +95,6 @@ def add_sweep_arguments(ap: argparse.ArgumentParser) -> None:
         "--sweep-json", default=None, metavar="FILE",
         help="write the sweep summary (per-unit timings, hit/miss) as JSON",
     )
-    lifecycle.add_lifecycle_arguments(ap)
     telemetry.add_telemetry_arguments(ap)
 
 
@@ -161,6 +160,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--size", default="default", choices=["small", "default"])
     add_sweep_arguments(ap)
+    lifecycle.add_lifecycle_arguments(ap)
     args = ap.parse_args(argv)
 
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments

@@ -25,16 +25,17 @@ fast path the overhead test holds to budget.
 
 Cross-process propagation: the engine hands each worker the pair
 ``(trace_id, parent_span_id)`` in its unit messages; the worker builds
-its own :class:`Tracer` with :func:`worker_tracer`, whose span IDs are
-PID-prefixed (collision-free by construction), and ships its finished
-events home inside the ok/err reply; the parent folds them in with
-:meth:`Tracer.absorb`.
+its own :class:`Tracer` per unit with :func:`worker_tracer`, whose span
+IDs carry the PID and the unit's count (collision-free), and ships its
+finished events home inside the ok/err reply; the parent folds them in
+with :meth:`Tracer.absorb`.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import threading
@@ -328,18 +329,22 @@ def traced(name: Optional[str] = None, cat: str = "engine"):
     return deco
 
 
+_worker_units = itertools.count()  # units this process traced as a worker
+
+
 def worker_tracer(ctx) -> Optional[Tracer]:
     """Build the pool-worker-side tracer from a propagated span context.
 
     ``ctx`` is the ``(trace_id, parent_span_id)`` pair the engine put in
     the work-unit submission (or None when the parent ran untraced).
-    Span IDs are prefixed with the worker PID so the parent can absorb
-    events from any number of workers without collisions.
+    Span IDs are prefixed with the worker PID and its unit count, so the
+    parent absorbs any number of long-lived workers' units without collisions.
     """
     if ctx is None:
         return None
     trace_id, parent_id = ctx
     return Tracer(
         run_id=trace_id, root_name="worker", root_cat="pool",
-        _id_prefix=f"w{os.getpid()}-", _root_parent=parent_id,
+        _id_prefix=f"w{os.getpid()}.{next(_worker_units)}-",
+        _root_parent=parent_id,
     )

@@ -154,16 +154,33 @@ def test_prewarm_dedups_and_skips_cached(tmp_path):
     assert ex2.prewarm([UNIT]) == 0  # warm from disk too
 
 
-def test_pool_failure_falls_back_to_sequential(monkeypatch, capsys):
+def test_pool_failure_falls_back_to_sequential(monkeypatch, capsys, tmp_path):
+    from repro import durable
+    from repro.exec.journal import RunJournal
+
     def broken(*a, **k):
         raise OSError("no semaphores in this sandbox")
 
     monkeypatch.setattr(dispatch_mod, "spawn_worker", broken)
-    ex = rexec.SweepExecutor(jobs=4)
-    assert ex.prewarm(UNITS[:2]) == 2
-    assert ex.stats.misses == 2 and ex.stats.failures == []
-    assert "falling back to sequential" in capsys.readouterr().err
+    # first in the queue, so a dispatcher thread always takes it and
+    # fails to fork; the failed fork must not spend its one transient
+    flaky = rexec.make_unit("Reduce", "cuda", GTX480, "small")
+    j = RunJournal.create(tmp_path, "fallback")
+    ex = rexec.SweepExecutor(
+        jobs=4, journal=j, backoff=0.001,
+        faults=f"transient:{flaky.label()}:1.0:1",
+    )
+    assert ex.prewarm([flaky] + UNITS[:2]) == 3
+    j.close("complete")
+    assert ex.stats.misses == 3 and ex.stats.failures == []
+    assert capsys.readouterr().err.count("falling back to sequential") == 1
     assert ex.run_unit(UNITS[0]).cached
+    records, _ = durable.replay(j.path)
+    mine = [r for r in records if r.get("d") == ex.digest_of(flaky)]
+    starts = [r["attempt"] for r in mine if r["t"] == "start"]
+    # the failed fork's start, then the in-process attempts from 1
+    assert starts == [1, 1, 2]
+    assert mine[-1]["t"] == "done"
 
 
 def test_run_benchmark_routes_through_active_executor():

@@ -45,6 +45,28 @@ def test_paperdoc_generates_markdown(tmp_path):
     assert "| shape check | paper | measured | holds |" in text
 
 
+def test_paperdoc_honours_telemetry_flags_and_has_no_lifecycle(tmp_path, capsys):
+    import json
+
+    from repro.experiments.paperdoc import main
+
+    trace = tmp_path / "trace.json"
+    base = ["--size", "small", "--only", "fig6", "-o", str(tmp_path / "E.md")]
+    rc = main(base + [
+        "--cache-dir", str(tmp_path / "cache"), "--trace", str(trace),
+        "--manifest", str(tmp_path / "manifest.json"),
+    ])
+    assert rc == 0
+    names = {e.get("name") for e in json.loads(trace.read_text())["traceEvents"]}
+    assert "sweep.prewarm" in names
+    assert (tmp_path / "manifest.json").exists()
+    # it opens no journal, so it offers no --resume/--grace to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--resume"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
 def _fake_experiment(holds, sizes=None, size="small"):
     """A minimal experiment module whose single check we control."""
     import types

@@ -1,10 +1,11 @@
 """One dispatch core, two front ends: the same fault plan, the same outcome.
 
-The sweep engine's parallel prewarm and a daemon ticket run one unit
-list under one fault plan.  Each unit must end the same way on both —
-done, or failed with the same kind and the same injected attribution —
-and the survivors' canonical results must be byte-identical to each
-other and to a fault-free run.
+The sweep engine's prewarm, in process (jobs 1) and on forked workers
+(jobs 2), and a daemon ticket run one unit list under one fault plan.
+Each unit must end the same way on all three — done, or failed with the
+same kind and the same injected attribution — and the survivors'
+canonical results must be byte-identical to each other and to a
+fault-free run.
 """
 from repro import exec as rexec
 from repro.arch.specs import GTX480
@@ -28,16 +29,26 @@ PLAN = ";".join([
 TIMEOUT = 3.0
 
 
-def test_engine_and_daemon_agree_under_one_fault_plan(tmp_path):
+def _engine_run(tmp_path, jobs):
+    """Outcome per label, canonical survivor bytes, unexpected failures."""
     ex = rexec.SweepExecutor(
-        jobs=2, cache=tmp_path / "engine", faults=PLAN, timeout=TIMEOUT,
-        backoff=0.01, progress="off",
+        jobs=jobs, cache=tmp_path / f"engine-{jobs}", faults=PLAN,
+        timeout=TIMEOUT, backoff=0.01, progress="off",
     )
     ex.prewarm(UNITS)
     fails = {f.label: (f.kind, f.injected) for f in ex.stats.failures}
-    engine = {label: fails.get(label, ("done", False)) for label in LABELS}
+    outcome = {label: fails.get(label, ("done", False)) for label in LABELS}
     survivors = [u for u in UNITS if u.label() not in fails]
-    engine_doc = canonical_results_json([ex.run_unit(u) for u in survivors])
+    doc = canonical_results_json([ex.run_unit(u) for u in survivors])
+    return outcome, doc, ex.stats.unexpected_failures()
+
+
+def test_engine_and_daemon_agree_under_one_fault_plan(tmp_path):
+    # jobs 1 runs the engine's queue on the calling thread, jobs 2 on
+    # forked workers: the same plan must end the same way on each
+    in_process, in_process_doc, in_process_unexpected = _engine_run(tmp_path, 1)
+    engine, engine_doc, engine_unexpected = _engine_run(tmp_path, 2)
+    survivors = [u for u in UNITS if engine[u.label()][0] == "done"]
 
     d = SweepDaemon(
         tmp_path / "daemon", jobs=2, faults=PLAN, timeout=TIMEOUT,
@@ -56,7 +67,7 @@ def test_engine_and_daemon_agree_under_one_fault_plan(tmp_path):
         for r in rows
     }
 
-    assert engine == daemon == {
+    assert in_process == engine == daemon == {
         LABELS[0]: ("ERROR", True),
         LABELS[1]: ("CRASH", True),
         LABELS[2]: ("TIMEOUT", True),
@@ -64,8 +75,8 @@ def test_engine_and_daemon_agree_under_one_fault_plan(tmp_path):
         LABELS[4]: ("done", False),
         LABELS[5]: ("done", False),
     }
-    assert ex.stats.unexpected_failures() == []
+    assert in_process_unexpected == engine_unexpected == []
     assert summary["exit_code"] == 0
     reference = rexec.SweepExecutor(faults="")
     fault_free = canonical_results_json([reference.run_unit(u) for u in survivors])
-    assert engine_doc == daemon_doc == fault_free
+    assert in_process_doc == engine_doc == daemon_doc == fault_free

@@ -1,4 +1,5 @@
 """Span tracing: nesting, IDs, and propagation across pool workers."""
+import collections
 import json
 
 from repro import exec as rexec
@@ -114,6 +115,31 @@ def test_spans_propagate_across_pool_workers(tmp_path):
     # launch-cat spans (virtual kernel time) made it onto the timeline
     assert any(s.cat == "launch" for ss in names.values() for s in ss)
 
+
+
+def test_long_lived_workers_never_reuse_span_ids(tmp_path):
+    """Each warm worker serves several units; every unit's spans get
+    fresh IDs, so every absorbed span is distinct and every worker
+    span's parent is exactly one span of the merged trace."""
+    units = [
+        rexec.make_unit(bench, api, dev, "small")
+        for bench in ("TranP", "Reduce")
+        for api in ("cuda", "opencl")
+        for dev in (GTX280, GTX480)
+    ]
+    tr = tspans.Tracer(run_id="ids")
+    with tspans.use_tracer(tr):
+        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress="off")
+        assert ex.prewarm(units) == len(units)
+    tr.finish()
+    spans = [e for e in tr.events if isinstance(e, tspans.Span)]
+    worker = [s for s in spans if s.span_id.startswith("w")]
+    # a root, an attempt and launch spans per unit, at least
+    assert len(worker) >= 3 * len(units)
+    ids = [s.span_id for s in worker]
+    assert len(set(ids)) == len(ids)
+    named = collections.Counter(s.span_id for s in spans)
+    assert all(named[s.parent_id] == 1 for s in worker)
 
 def test_merged_trace_is_loadable_chrome_json(tmp_path):
     tr = tspans.Tracer(run_id="trace-test")
