@@ -72,7 +72,7 @@ CRASHED = -1
 UNAVAILABLE = -2
 
 #: how long a dispatcher waits between worker polls (each poll also asks
-#: ``keep``, so a renewing front end renews at this period)
+#: ``keep``, so an abandoned job's worker is killed within this period)
 POLL_S = 0.2
 #: how often an idle worker checks that the process that forked it lives
 _ORPHAN_CHECK_S = 1.0
@@ -325,10 +325,12 @@ class Job:
     unit: dict  # the unit's JSON form
     label: str
     attempt: int
-    #: the front end's own handle (the daemon's lease)
-    ctx: object = None
+    #: the front end's number for it (the daemon's lease token)
+    token: Optional[int] = None
     #: pid of the worker running it, once sent
     pid: Optional[int] = None
+    #: monotonic time it was taken
+    taken: float = dataclasses.field(default_factory=time.monotonic)
 
 
 class Dispatcher:

@@ -42,9 +42,8 @@ Fault kinds:
     attempts.  Fired by the dispatch core's workers (engine and daemon
     alike) via :meth:`FaultInjector.fire_post` between the cache put
     and the reply, it kills a worker *mid-unit* with the work already
-    durable — exercising the daemon's lease reclamation and fencing,
-    and the dispatcher's finding of the durable result (zero
-    duplicated work)
+    durable — exercising the dispatcher's finding of the durable
+    result, which settles the lease as done (zero duplicated work)
 
 Plans come from config or the ``REPRO_FAULTS`` environment variable
 (inherited by pool workers), in either JSON form::

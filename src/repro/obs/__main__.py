@@ -31,7 +31,7 @@ from .. import exec as rexec
 from ..telemetry import metrics as tmetrics
 from . import critpath as cp
 from . import openmetrics as om
-from .registry import find_run, runs
+from .registry import find_run, runs, serve_status
 from .render import render_ls, render_serve, render_status
 
 __all__ = ["main"]
@@ -142,38 +142,14 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Render the sweep daemon's /status — live over HTTP, or a WAL
+    """Render the sweep daemon's status — live over HTTP, or a WAL
     post-mortem (with the 3x-heartbeat staleness verdict) when dead."""
-    from ..serve.client import discover
-    from ..serve.wal import replay as serve_replay
-    from ..serve.wal import wal_path
-    from .registry import STALE_BEATS
-
-    cache_dir = _cache_dir(args)
-    client = discover(cache_dir)
-    if client is not None:
-        doc = client.status()
-        live = True
-    else:
-        rep = serve_replay(wal_path(cache_dir))
-        doc = rep.summary()
-        doc["wal"] = str(wal_path(cache_dir))
-        doc["records"] = rep.records
-        doc["torn_lines"] = rep.torn_lines
-        hb = rep.last_heartbeat
-        if hb and isinstance(hb.get("unix"), (int, float)):
-            interval = float(hb.get("interval") or 5.0)
-            age = time.time() - hb["unix"]
-            doc["last_heartbeat_age_s"] = round(age, 3)
-            doc["staleness"] = (
-                "stale" if age > STALE_BEATS * interval else "recent"
-            )
-        live = False
+    doc = serve_status(_cache_dir(args))
     if args.json:
-        json.dump({"live": live, **doc}, sys.stdout, indent=1, sort_keys=True)
+        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
         print()
     else:
-        print(render_serve(doc, live))
+        print(render_serve(doc))
     return 0
 
 

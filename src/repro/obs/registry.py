@@ -45,6 +45,7 @@ __all__ = [
     "RunStatus",
     "runs",
     "find_run",
+    "serve_status",
 ]
 
 #: heartbeats a running journal may miss before it counts as dead
@@ -263,3 +264,32 @@ def find_run(cache_dir, token: Optional[str]) -> RunTracker:
             f"(latest: {known})"
         )
     return RunTracker(path).poll()
+
+
+def serve_status(cache_dir) -> dict:
+    """The sweep daemon's status document: live, or a WAL post-mortem.
+
+    A live daemon's own ``/status``; for a dead one, the queue WAL's
+    replay summary plus its record counts and a ``staleness`` verdict
+    from the last heartbeat under the :data:`STALE_BEATS` rule.  The
+    ``live`` key says which.  ``repro.obs serve`` and ``repro.serve
+    status`` both print this document.
+    """
+    from ..serve.client import discover
+    from ..serve.wal import replay, wal_path
+
+    client = discover(cache_dir)
+    if client is not None:
+        return {"live": True, **client.status()}
+    rep = replay(wal_path(cache_dir))
+    doc = {
+        "live": False, **rep.summary(),
+        "wal": str(wal_path(cache_dir)), "records": rep.records,
+    }
+    hb = rep.last_heartbeat
+    if hb and isinstance(hb.get("unix"), (int, float)):
+        interval = float(hb.get("interval") or DEFAULT_HEARTBEAT_S)
+        age = time.time() - hb["unix"]
+        doc["last_heartbeat_age_s"] = round(age, 3)
+        doc["staleness"] = "stale" if age > STALE_BEATS * interval else "recent"
+    return doc

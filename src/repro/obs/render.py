@@ -119,15 +119,16 @@ def render_ls(statuses) -> str:
     return "\n".join(lines)
 
 
-def render_serve(doc: dict, live: bool) -> str:
-    """The ``repro.obs serve`` block: a daemon, live or post-mortem.
+def render_serve(doc: dict) -> str:
+    """The daemon status block: a daemon, live or post-mortem.
 
-    ``live`` selects between the daemon's own ``/status`` document and
-    the WAL-replay summary assembled for a dead daemon (which carries a
+    ``doc`` is :func:`~repro.obs.registry.serve_status`'s document; its
+    ``live`` key selects between the daemon's own ``/status`` and the
+    WAL-replay summary assembled for a dead daemon (which carries a
     ``staleness`` verdict computed from the last heartbeat under the
     same 3x-interval rule run liveness uses).
     """
-    if live:
+    if doc.get("live"):
         u = doc.get("units", {})
         t = doc.get("tickets", {})
         lines = [

@@ -3,17 +3,15 @@
 ``python -m repro.serve`` turns one sweep workdir into a long-running
 service: submissions arrive over a local HTTP JSON API, are deduped by
 content digest against the :class:`~repro.exec.cache.ResultCache`, and
-dispatched through **leases with fencing tokens** journaled to a
-durable queue WAL — so a ``kill -9`` of any worker *or of the daemon
-itself* loses nothing and duplicates nothing.
+dispatched as **leases** journaled to a durable queue WAL — so a
+``kill -9`` of any worker *or of the daemon itself* loses nothing and
+duplicates nothing.
 
 The package splits along the same lines the guarantees do:
 
 :mod:`repro.serve.wal`
     the durable queue (append-only fsynced JSONL + torn-tail-tolerant
     replay) — the single source of truth across crashes
-:mod:`repro.serve.lease`
-    fencing tokens, renewal, and the 3x-heartbeat staleness reclaim
 :mod:`repro.serve.admission`
     per-tenant quotas (429), queue backpressure and per-device circuit
     breakers (503)
@@ -21,7 +19,8 @@ The package splits along the same lines the guarantees do:
     the queue tying the above together around the dispatch core it
     shares with the sweep engine (:mod:`repro.exec.dispatch`: warm
     forked workers, one lease each at a time, outcomes in the 0/1/75
-    classes of the exit-code contract)
+    classes of the exit-code contract); a lease is one dispatcher
+    thread's job, requeued from the WAL if the daemon dies holding it
 :mod:`repro.serve.api` / :mod:`repro.serve.client`
     the loopback HTTP surface and its tiny stdlib client
 """
@@ -36,7 +35,6 @@ from .admission import (
 from .api import ServeAPI, endpoint_path, read_endpoint
 from .client import ServeClient, ServeError, discover
 from .daemon import SweepDaemon
-from .lease import Lease, LeaseManager, default_ttl
 from .wal import QueueWAL, replay, serve_dir, wal_path
 
 __all__ = [
@@ -49,9 +47,6 @@ __all__ = [
     "AdmissionVerdict",
     "CircuitBreaker",
     "BreakerBoard",
-    "Lease",
-    "LeaseManager",
-    "default_ttl",
     "QueueWAL",
     "replay",
     "serve_dir",

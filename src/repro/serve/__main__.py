@@ -32,11 +32,12 @@ import time
 from .. import exec as rexec
 from ..arch.specs import ALL_DEVICES
 from ..benchsuite.registry import REAL_WORLD, REGISTRY, SYNTHETIC
+from ..obs.registry import serve_status
+from ..obs.render import render_serve
 from .admission import TenantQuota
 from .api import ServeAPI, pid_alive, read_endpoint
 from .client import ServeError, discover
 from .daemon import SweepDaemon
-from .wal import replay, wal_path
 
 _SUBCOMMANDS = ("submit", "status", "drain")
 
@@ -147,7 +148,8 @@ def _run_daemon(argv) -> int:
     print(
         f"repro.serve: {summary['state']} "
         f"({summary['remaining']} unit(s) left, "
-        f"{summary['unexpected_failures']} unexpected failure(s))",
+        f"{summary['unexpected_failures']} unexpected failure(s))"
+        + (f"; dispatch stopped: {summary['error']}" if summary["error"] else ""),
         flush=True,
     )
     return summary["exit_code"]
@@ -255,45 +257,13 @@ def _cmd_status(argv) -> int:
     ap.add_argument("--json", action="store_true", dest="as_json",
                     help="print the raw status document")
     args = ap.parse_args(argv)
-    cache_dir = _cache_dir(args)
-    client = discover(cache_dir)
-    if client is not None:
-        doc = client.status()
-        live = True
-    else:
-        # dead daemon: the WAL is the post-mortem source of truth
-        rep = replay(wal_path(cache_dir))
-        doc = rep.summary()
-        doc["wal"] = str(wal_path(cache_dir))
-        live = False
+    # the same document and view as `python -m repro.obs serve`
+    doc = serve_status(_cache_dir(args))
     if args.as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return 0
-    if live:
-        u = doc["units"]
-        print(
-            f"daemon pid {doc['pid']} ({doc['state']}, epoch {doc['epoch']}, "
-            f"up {doc['uptime_s']:g}s)"
-        )
-        print(
-            f"  units: {u['queued']} queued, {u['leased']} leased, "
-            f"{u['done']} done, {u['failed']} failed"
-        )
-        for t, row in doc["tenants"].items():
-            print(
-                f"  tenant {t}: {row['outstanding']} outstanding, "
-                f"{row['inflight']} in-flight, {row['rejected']} rejected"
-            )
-        for lease in doc["leases"]:
-            print(
-                f"  lease #{lease['token']} {lease['label']} "
-                f"(pid {lease['pid']}, {lease['age_s']:g}s old)"
-            )
-        for dev, b in doc["breakers"].items():
-            if b["state"] != "closed":
-                print(f"  breaker {dev}: {b['state']}")
+        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+        print()
     else:
-        print(f"no live daemon; WAL says: {json.dumps(doc, sort_keys=True)}")
+        print(render_serve(doc))
     return 0
 
 

@@ -12,7 +12,8 @@ Routes:
 
 ``GET /healthz``
     cheap liveness: pid, state, queue depth — 200 while the daemon
-    accepts connections at all.
+    accepts connections at all; ``ok`` is false (with the ``error``)
+    once a dispatch callback has failed and nothing more dispatches.
 ``GET /status``
     the full :meth:`SweepDaemon.status` document (queue, tenants,
     leases, breakers) — what ``repro.obs serve`` renders.

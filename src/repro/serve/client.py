@@ -83,10 +83,12 @@ class ServeClient:
         return self._request("GET", f"/ticket/{ticket}/results")[2]
 
     def alive(self) -> bool:
+        """The daemon answers (healthy or not: ``healthz()["ok"]`` says)."""
         try:
-            return bool(self.healthz().get("ok"))
+            self.healthz()
         except (OSError, ServeError):
             return False
+        return True
 
 
 def discover(cache_dir) -> Optional[ServeClient]:

@@ -11,10 +11,12 @@
   two tenants asking for the same unit share one execution and one
   cache entry, and anything already in the
   :class:`~repro.exec.cache.ResultCache` is served without running;
-* **lease-fenced dispatch** — each cold unit is granted to exactly one
-  worker process under a monotonic fencing token
-  (:mod:`repro.serve.lease`); stale holders can still write the cache
-  (idempotent) but their late reports are fenced;
+* **leased dispatch** — each queued unit is handed to exactly one
+  dispatcher thread at a time, journaled as a ``lease`` under a token
+  from a counter that never repeats across boots; the lease is that
+  thread's job, so it ends when the thread settles it, when
+  :meth:`SweepDaemon.stop` requeues it, or with the daemon itself (the
+  next boot requeues it from the WAL);
 * **admission control** — per-tenant quotas, global backpressure, and
   per-device circuit breakers (:mod:`repro.serve.admission`);
 * **graceful drain** — SIGTERM stops admission, in-flight leases get a
@@ -27,11 +29,12 @@ owning one long-lived worker *process*, forked when the thread first
 needs it, that holds at most one lease at a time and reports each
 outcome on a pipe (a crashed worker takes down nothing but its own
 lease, and the thread forks a replacement for its next one).  The
-daemon supplies the core's callbacks — lease the next unit, renew the
-lease between polls, journal the outcome — and one housekeeping thread
-heartbeats the WAL, flushes metrics snapshots, and reaps expired
-leases.  All queue state is guarded by a single condition variable;
-no worker process is ever awaited while the lock is held.
+daemon supplies the core's callbacks — lease the next unit, journal the
+outcome — and one housekeeping thread heartbeats the WAL, flushes
+metrics snapshots, and drains the daemon should a callback fail (the
+core's :attr:`~repro.exec.dispatch.Dispatcher.error`).  All queue state
+is guarded by a single condition variable; no worker process is ever
+awaited while the lock is held.
 """
 from __future__ import annotations
 
@@ -66,7 +69,6 @@ from .admission import (
     BreakerBoard,
     TenantQuota,
 )
-from .lease import LeaseManager, default_ttl
 from .wal import QueueWAL, TicketEntry, UnitEntry
 from .wal import replay as wal_replay
 from .wal import wal_path
@@ -118,7 +120,6 @@ class SweepDaemon:
             durable.heartbeat_interval() if hb_interval is None
             else float(hb_interval)
         )
-        self.lease_ttl = default_ttl(self.hb_interval)
         self.faults = (
             faults_mod.from_spec(faults) if faults is not None
             else faults_mod.from_env()
@@ -133,20 +134,24 @@ class SweepDaemon:
         #: (jittered transient backoff)
         self._not_before: dict = {}
         self._closed = False  # set by stop(): no lease outcome
+        #: digest -> the dispatcher Job holding its lease
+        self._running: dict = {}
+        #: the next lease token: above every token the WAL has seen
+        self._next_token = 1
         self._rejects: dict = {}  # tenant -> count
         self._stop = threading.Event()
         self._draining = threading.Event()
         #: the dispatch core running the leases (see repro.exec.dispatch)
         self._core = Dispatcher(
             self.jobs, self.cache, self._take, self._settle,
-            keep=self._keep, timeout=self.timeout, faults=self.faults,
+            keep=lambda job: not self._closed, timeout=self.timeout,
+            faults=self.faults,
             name="serve",
         )
         self.epoch = 0
         self.started_unix: Optional[float] = None
         self.reclaimed_on_boot = 0
         self.wal: Optional[QueueWAL] = None
-        self.leases: Optional[LeaseManager] = None
         self._housekeeper = None  # durable.every() thread
 
     # -- lifecycle ---------------------------------------------------------
@@ -156,14 +161,14 @@ class SweepDaemon:
         self.epoch = rep.epoch + 1
         self._units = rep.units
         self._tickets = rep.tickets
-        self.leases = LeaseManager(self.lease_ttl, floor=rep.next_token)
+        self._next_token = rep.next_token
         self.wal = QueueWAL(wal_path(self.cache_dir))
         self.wal.record_boot(self.epoch, self.jobs)
         self.started_unix = time.time()
-        # every lease open at the previous daemon's death is stale by
-        # construction (tokens are monotonic across boots): requeue the
-        # unit, journal the reclaim — the old holder's result, if it
-        # still lands in the cache, is idempotent and byte-identical
+        # every lease open at the previous daemon's death died with its
+        # dispatcher thread: requeue the unit, journal the reclaim — the
+        # old worker's result, if it still lands in the cache, is
+        # idempotent and byte-identical
         for d, token in rep.open_leases.items():
             entry = self._units.get(d)
             if entry is None or entry.state != "leased":
@@ -212,9 +217,11 @@ class SweepDaemon:
     def stop(self, grace: float = 30.0) -> dict:
         """Drain, give in-flight leases ``grace`` seconds, shut down.
 
-        Returns the shutdown summary: terminal WAL state, counts, and
-        the process exit code under the 0/1/75 contract (75 when queued
-        or reclaimed work remains for the next boot).
+        Returns the shutdown summary: terminal WAL state, counts, the
+        dispatch core's error (if a callback failed), and the process
+        exit code under the 0/1/75 contract (75 when queued or reclaimed
+        work remains for the next boot, else 1 on an unexpected failure
+        or a core error).
         """
         self.drain()
         with self._work:
@@ -228,13 +235,11 @@ class SweepDaemon:
         # _closed at the next poll and kill their workers
         with self._work:
             self._closed = True
-            for lease in list(self.leases.active()):
-                self.leases.release(lease.digest, lease.token)
-                entry = self._units.get(lease.digest)
-                if entry is not None and entry.state == "leased":
-                    entry.state = "queued"
-                self.wal.record_requeue(lease.digest, lease.token, "drain-killed")
+            for d, job in self._running.items():
+                self._units[d].state = "queued"
+                self.wal.record_requeue(d, job.token, "drain-killed")
                 metrics.counter("serve.reclaims").inc()
+            self._running.clear()
             counts = self._counts_locked()
             remaining = counts["queued"] + counts["leased"]
             state = "stopped" if remaining == 0 else "interrupted"
@@ -246,7 +251,8 @@ class SweepDaemon:
             1 for u in self._units.values()
             if u.state == "failed" and not u.injected
         )
-        code = 75 if remaining else (1 if unexpected else 0)
+        error = self._error()
+        code = 75 if remaining else (1 if unexpected or error else 0)
         log.info(
             "serve.stop",
             f"daemon down: {state}, {remaining} unit(s) left for the next "
@@ -254,7 +260,8 @@ class SweepDaemon:
         )
         return {
             "state": state, "remaining": remaining,
-            "unexpected_failures": unexpected, "exit_code": code,
+            "unexpected_failures": unexpected, "error": error,
+            "exit_code": code,
         }
 
     # -- admission ---------------------------------------------------------
@@ -265,10 +272,7 @@ class SweepDaemon:
         )
 
     def _inflight_of(self, tenant: str) -> int:
-        return sum(
-            1 for lease in self.leases.active()
-            if self._units[lease.digest].owner == tenant
-        )
+        return sum(1 for d in self._running if self._units[d].owner == tenant)
 
     def _reject(
         self, tenant: str, reason: str, count: int, detail: str = ""
@@ -308,7 +312,8 @@ class SweepDaemon:
         for u, dg in zip(units, digests):
             uniq.setdefault(dg, u)
         with self._work:
-            if self._draining.is_set() or self._stop.is_set():
+            if (self._draining.is_set() or self._stop.is_set()
+                    or self._core.error is not None):
                 return self._reject(tenant, REJECT_DRAINING, len(uniq))
             open_devs = self.breakers.open_devices(
                 {u.device for u in uniq.values()}
@@ -407,11 +412,15 @@ class SweepDaemon:
         return None
 
     def _take(self, slot: int) -> Optional[Job]:
-        """The core's ``take``: lease the next unit; None once stopping."""
+        """The core's ``take``: lease the next unit; None once stopping.
+
+        Also None once the core has an error: a failed callback left
+        the queue unsettled, so nothing more is dispatched.
+        """
         with self._work:
             while True:
                 d = None
-                while not self._stop.is_set():
+                while not self._stop.is_set() and self._core.error is None:
                     d = self._next_dispatchable()
                     if d is not None:
                         break
@@ -429,70 +438,43 @@ class SweepDaemon:
                     continue
                 entry.attempts += 1
                 entry.state = "leased"
-                lease = self.leases.acquire(d, entry.attempts)
-                self.wal.record_lease(d, lease.token, entry.attempts)
+                job = self._running[d] = Job(
+                    d, entry.unit, entry.label, entry.attempts,
+                    token=self._next_token,
+                )
+                self._next_token += 1
+                self.wal.record_lease(d, job.token, entry.attempts)
                 metrics.counter("serve.leases").inc()
-                return Job(d, entry.unit, entry.label, entry.attempts, ctx=lease)
-
-    def _keep(self, job: Job) -> bool:
-        """The core's ``keep``: renew the lease; False once fenced or stopped."""
-        job.ctx.pid = job.pid
-        with self._lock:
-            return not self._closed and self.leases.renew(job.digest, job.ctx.token)
+                return job
 
     # -- outcomes ----------------------------------------------------------
-    def complete(self, d: str, token: Optional[int], source: str = "run") -> bool:
-        """Apply a completion under ``token``; False when it is fenced.
-
-        The fencing check and the state transition are one atomic step:
-        a completion under a reclaimed (or reassigned) token journals a
-        ``fenced`` record and changes nothing — the result bytes the
-        stale holder wrote to the content-addressed cache are identical
-        to the current holder's, so nothing needs undoing.
-        """
-        with self._work:
-            if self._closed:
-                return False  # stop() already requeued and journaled it
-            if token is not None and not self.leases.release(d, token):
-                self.wal.record_fenced(d, token)
-                metrics.counter("serve.fenced").inc()
-                log.warn(
-                    "serve.fenced",
-                    f"rejected late completion of {d[:8]} under stale "
-                    f"token {token}",
-                )
-                return False
-            entry = self._units.get(d)
-            if entry is None or entry.state == "done":
-                return False
-            entry.state = "done"
-            entry.source = source
-            self.wal.record_done(d, token, source)
-            metrics.counter(f"serve.done.{source}").inc()
-            self._record_breaker(entry, success=True)
-            self._work.notify_all()
-        return True
-
     def _settle(self, job: Job, code: int, reply: dict) -> None:
-        """The core's ``settle``: journal the policy's verdict under the lease."""
-        d, lease = job.digest, job.ctx
+        """The core's ``settle``: journal the policy's verdict, end the lease.
+
+        Each queued digest is leased to one thread at a time, and only
+        that thread settles it, so at most one ``done`` is ever
+        journaled per digest.
+        """
+        d, token = job.digest, job.token
         verdict = decide(code, job.attempt, self.retries)
-        if verdict == "done":
-            self.complete(d, lease.token, source="run")
-            return
-        err = reply["err"]
         with self._work:
             if self._closed:
                 return  # stop() already requeued and journaled the lease
-            if not self.leases.release(d, lease.token):
-                self.wal.record_fenced(d, lease.token)
-                metrics.counter("serve.fenced").inc()
-                return
+            del self._running[d]
             entry = self._units[d]
-            if verdict == "retry":
-                reason = "transient" if code == EXIT_TRANSIENT else err["message"]
+            if verdict == "done":
+                entry.state = "done"
+                entry.source = "run"
+                self.wal.record_done(d, token, "run")
+                metrics.counter("serve.done.run").inc()
+                self._record_breaker(entry, success=True)
+            elif verdict == "retry":
+                reason = (
+                    "transient" if code == EXIT_TRANSIENT
+                    else reply["err"]["message"]
+                )
                 entry.state = "queued"
-                self.wal.record_requeue(d, lease.token, reason)
+                self.wal.record_requeue(d, token, reason)
                 # jittered exponential backoff, seeded from the digest:
                 # concurrent tenants retrying the same transient spread
                 # out instead of thundering-herding the dispatchers
@@ -506,15 +488,16 @@ class SweepDaemon:
                     metrics.counter("serve.reclaims").inc()
                     log.warn(
                         "serve.reclaim",
-                        f"lease {lease.token} on {entry.label} reclaimed "
+                        f"lease {token} on {entry.label} reclaimed "
                         f"({reason}); re-dispatching",
                     )
             else:
+                err = reply["err"]
                 entry.state = "failed"
                 entry.kind = err["kind"]
                 entry.injected = bool(err["injected"])
                 self.wal.record_fail(
-                    d, lease.token, entry.kind, entry.injected, entry.attempts
+                    d, token, entry.kind, entry.injected, entry.attempts
                 )
                 metrics.counter("serve.failed").inc()
                 if entry.injected:
@@ -547,30 +530,9 @@ class SweepDaemon:
 
     # -- housekeeping ------------------------------------------------------
     def _housekeep(self) -> None:
-        self.reap_expired()
+        if self._core.error is not None:
+            self.drain()  # nothing dispatches any more: stop admitting
         self._heartbeat()
-
-    def reap_expired(self) -> int:
-        """Reclaim every lease whose holder stopped renewing (3x rule)."""
-        with self._work:
-            dead = self.leases.reclaim_expired()
-            for lease in dead:
-                entry = self._units.get(lease.digest)
-                self.wal.record_requeue(
-                    lease.digest, lease.token, "lease-expired"
-                )
-                metrics.counter("serve.reclaims").inc()
-                if entry is not None and entry.state == "leased":
-                    entry.state = "queued"
-                    self._pending.append(lease.digest)
-                log.warn(
-                    "serve.reclaim",
-                    f"lease {lease.token} expired (no renewal within "
-                    f"{self.lease_ttl:g}s); token fenced, unit requeued",
-                )
-            if dead:
-                self._work.notify_all()
-            return len(dead)
 
     def _heartbeat(self) -> None:
         with self._lock:
@@ -583,6 +545,11 @@ class SweepDaemon:
             pass  # a full disk must not kill the daemon it describes
 
     # -- introspection -----------------------------------------------------
+    def _error(self) -> Optional[str]:
+        """The dispatch core's error, as text; None while it is healthy."""
+        e = self._core.error
+        return None if e is None else f"{type(e).__name__}: {e}"
+
     def _counts_locked(self) -> dict:
         counts = {"queued": 0, "leased": 0, "done": 0, "failed": 0}
         for u in self._units.values():
@@ -612,17 +579,14 @@ class SweepDaemon:
             now = time.monotonic()
             leases = [
                 {
-                    "digest": lease.digest[:12],
-                    "label": self._units[lease.digest].label,
-                    "token": lease.token,
-                    "attempt": lease.attempt,
-                    "pid": lease.pid,
-                    "age_s": round(now - lease.acquired, 3),
-                    "ttl_remaining_s": round(lease.deadline - now, 3),
+                    "digest": job.digest[:12],
+                    "label": job.label,
+                    "token": job.token,
+                    "attempt": job.attempt,
+                    "pid": job.pid,
+                    "age_s": round(now - job.taken, 3),
                 }
-                for lease in sorted(
-                    self.leases.active(), key=lambda l: l.token
-                )
+                for job in sorted(self._running.values(), key=lambda j: j.token)
             ]
             complete_tickets = sum(
                 1 for tk in self._tickets.values()
@@ -639,7 +603,6 @@ class SweepDaemon:
                     if self.started_unix else None
                 ),
                 "hb_interval_s": self.hb_interval,
-                "lease_ttl_s": self.lease_ttl,
                 "units": counts,
                 "reclaimed_on_boot": self.reclaimed_on_boot,
                 "tickets": {
@@ -660,8 +623,10 @@ class SweepDaemon:
     def healthz(self) -> dict:
         with self._lock:
             counts = self._counts_locked()
+        error = self._error()
         return {
-            "ok": True,
+            "ok": error is None,
+            "error": error,
             "pid": os.getpid(),
             "state": "draining" if self._draining.is_set() else "running",
             "epoch": self.epoch,

@@ -7,15 +7,13 @@ The sweep daemon journals every queue transition to one
 and fsynced before the operation it describes is acknowledged.  A
 ``kill -9`` of the daemon therefore loses nothing — the WAL replays
 into exactly the queue the daemon died with, and every lease that was
-open at death is reclaimed (its fencing token is permanently invalid,
-because tokens are monotonic across boots).
+open at death is requeued (its holder, a dispatcher thread, died with
+the daemon; lease tokens never repeat across boots).
 
 Record types (``"t"``):
 
 ``boot``
-    one per daemon start: schema, boot epoch, pid, jobs.  Epochs are
-    the coarse fencing level — any lease token issued before the
-    latest boot is stale by construction.
+    one per daemon start: schema, boot epoch, pid, jobs.
 ``submit``
     one per (ticket, unit): tenant, ticket id, digest, label, and the
     full unit dict (so replay can re-dispatch without re-deriving
@@ -24,16 +22,19 @@ Record types (``"t"``):
     an admission rejection (quota / backpressure / breaker / drain),
     with the tenant and reason — the audit trail for 429s.
 ``lease``
-    unit handed to a worker under fencing ``token``.
+    unit handed to a dispatcher thread under ``token`` (a counter that
+    replay raises past every token the WAL has seen).
 ``done`` / ``fail``
     terminal unit outcomes (``done`` only after the result is durably
     in the content-addressed cache — same ordering contract as the
     sweep journal).
 ``requeue``
-    a lease reclaimed (holder died or its heartbeat went stale); the
-    unit goes back to the queue, the old token is fenced.
+    a lease ended without a terminal outcome (a transient failure or
+    dead worker to retry, a drain past its grace, a restart after the
+    daemon died); the unit goes back to the queue.
 ``fenced``
-    a *late* completion under a reclaimed token was rejected.
+    written only by older daemons, which expired leases on missed
+    heartbeats and refused late completions; replay keeps it as audit.
 ``breaker``
     a per-device circuit breaker changed state.
 ``hb``
@@ -142,9 +143,6 @@ class QueueWAL:
              "unix": time.time()}
         )
 
-    def record_fenced(self, digest: str, token: int) -> None:
-        self.append({"t": "fenced", "d": digest, "token": token, "unix": time.time()})
-
     def record_breaker(self, device: str, state: str) -> None:
         self.append(
             {"t": "breaker", "device": device, "state": state, "unix": time.time()}
@@ -210,13 +208,13 @@ class QueueReplay:
 
     path: Optional[Path] = None
     epoch: int = 0
-    #: fencing floor: the next lease token must be strictly greater
+    #: token floor: the next lease token must be strictly greater
     #: than every token the WAL has ever mentioned
     next_token: int = 1
     units: dict = dataclasses.field(default_factory=dict)  # digest -> UnitEntry
     tickets: dict = dataclasses.field(default_factory=dict)  # id -> TicketEntry
     #: leases open at the moment the WAL ends (digest -> token); on a
-    #: daemon restart these are exactly the reclaim set
+    #: daemon restart these are exactly the requeue set
     open_leases: dict = dataclasses.field(default_factory=dict)
     #: terminal state of the *last* boot ("running" = killed outright)
     state: str = "running"
@@ -319,5 +317,5 @@ def _apply(rep: QueueReplay, rec: dict) -> None:
         rep.last_heartbeat = rec
     elif t == "state":
         rep.state = rec.get("state", rep.state)
-    # "reject", "fenced" and "breaker" records are audit trail only:
-    # they never change queue membership
+    # "reject", "fenced" (older daemons only) and "breaker" records are
+    # audit trail only: they never change queue membership

@@ -230,7 +230,7 @@ class TestHeartbeat:
         assert durable.heartbeat_interval() == durable.DEFAULT_HEARTBEAT_S
 
     def test_heartbeat_interval_rejects_non_positive(self, monkeypatch):
-        # liveness (and serve lease TTLs) derive from this interval, so
+        # liveness (sweep journals' and the daemon's) derives from it, so
         # zero/negative/NaN must fall back to the default, not disable
         for bad in ("0", "-3", "0.0", "nan", "-inf"):
             monkeypatch.setenv("REPRO_HEARTBEAT_S", bad)

@@ -40,7 +40,7 @@ def clean_env():
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_CACHE_DIR", None)
-    env["REPRO_HEARTBEAT_S"] = "0.5"  # lease TTL 1.5s: fast reclaim
+    env["REPRO_HEARTBEAT_S"] = "0.5"  # fast WAL beats for repro.obs staleness
     return env
 
 

@@ -1,17 +1,18 @@
-"""In-process SweepDaemon behavior: admission, dedup, fencing, chaos.
+"""In-process SweepDaemon behavior: admission, dedup, chaos, restart.
 
 These tests drive the daemon object directly (no HTTP) with real
 worker processes on real (small) units.  The subprocess crash matrix —
 ``kill -9`` of the whole daemon — lives in ``test_crash_restart.py``.
 """
 import json
+import time
 
 import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.unit import make_unit, unit_digest, unit_from_dict
 from repro.serve.daemon import SweepDaemon
-from repro.serve.wal import UnitEntry, replay, wal_path
+from repro.serve.wal import replay, wal_path
 from repro.serve.admission import TenantQuota
 
 UNIT = {"benchmark": "Sobel", "api": "cuda", "device": "GTX480",
@@ -177,52 +178,46 @@ class TestAdmission:
             d.stop(grace=30)
 
 
-class TestFencing:
-    def test_late_done_under_stale_token_is_fenced(self, tmp_path):
+class TestDispatchError:
+    def test_failed_callback_stops_admission_and_reports_the_error(self, tmp_path):
+        # a callback that raises leaves the core's error set and every
+        # dispatcher thread gone: the daemon must say so and stop
+        # admitting work nothing would run
         d = make_daemon(tmp_path, jobs=1).start()
-        try:
-            dg = "f" * 16
-            with d._work:
-                entry = UnitEntry(
-                    digest=dg, label="fake/unit", unit={"device": "GTX480"},
-                    owner="t", tenants={"t"}, state="leased", attempts=1,
-                )
-                d._units[dg] = entry
-                lease = d.leases.acquire(dg, 1)
-                d.wal.record_lease(dg, lease.token, 1)
-                # the holder goes silent: force expiry and reap, then
-                # park the entry so no dispatcher picks the fake unit up
-                lease.deadline = 0.0
-                assert d.reap_expired() == 1
-                entry.state = "failed"
-            # the stale holder phones home with its dead token
-            assert d.complete(dg, lease.token, source="run") is False
-            fenced = wal_records(tmp_path, "fenced")
-            assert fenced and fenced[0]["token"] == lease.token
-            assert wal_records(tmp_path, "requeue")[0]["reason"] == "lease-expired"
-            # the fenced completion changed nothing
-            assert d._units[dg].state == "failed"
-        finally:
-            d.stop(grace=5)
+        real = d._record_breaker
+        calls = []
 
-    def test_next_lease_token_is_higher_after_reclaim(self, tmp_path):
-        d = make_daemon(tmp_path, jobs=1).start()
+        def breaker_once(entry, success):
+            calls.append(entry.label)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            real(entry, success)
+
+        d._record_breaker = breaker_once
         try:
-            dg = "e" * 16
-            with d._work:
-                d._units[dg] = UnitEntry(
-                    digest=dg, label="fake", unit={}, owner="t",
-                    tenants={"t"}, state="leased", attempts=1,
-                )
-                first = d.leases.acquire(dg, 1)
-                first.deadline = 0.0
-                d.reap_expired()
-                d._units[dg].state = "failed"
-                second = d.leases.acquire(dg, 2)
-                assert second.token > first.token
-                d.leases.release(dg, second.token)
+            out = d.submit("alice", [UNIT])
+            assert out.accepted
+            deadline = time.monotonic() + 300
+            while d._core.error is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            health = d.healthz()
+            assert health["ok"] is False
+            assert "disk full" in health["error"]
+            out2 = d.submit("bob", [UNIT2])
+            assert out2.status == 503 and out2["error"] == "draining"
+            # the housekeeper drains the daemon at its next beat
+            deadline = time.monotonic() + 30
+            while not d.draining and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert d.status()["state"] == "draining"
         finally:
-            d.stop(grace=5)
+            summary = d.stop(grace=10)
+        assert calls == [make_unit(**UNIT).label()]
+        assert "disk full" in summary["error"]
+        # the unit was journaled done before the raise: no work is left,
+        # so the error alone sets the exit code
+        assert summary["remaining"] == 0 and summary["exit_code"] == 1
+        assert wal_records(tmp_path, "drain")
 
 
 class TestChaos:
@@ -260,7 +255,9 @@ class TestChaos:
             d.stop(grace=30)
         requeues = wal_records(tmp_path, "requeue")
         assert [r["reason"] for r in requeues] == ["transient"]
-        assert len(wal_records(tmp_path, "lease")) == 2
+        # the retry's lease takes a fresh, higher token
+        tokens = [r["token"] for r in wal_records(tmp_path, "lease")]
+        assert len(tokens) == 2 and tokens[1] > tokens[0]
 
     def test_exhausted_transient_attempts_fail_terminally(self, tmp_path):
         d = make_daemon(tmp_path, retries=1,
@@ -289,7 +286,13 @@ class TestRestartReclaim:
                 "benchmark": u.benchmark, "api": u.api, "device": u.device,
                 "size": u.size, "options": [],
             })
-            w.record_lease(dg, 5, 1)
+            # records only a daemon that expired and fenced leases wrote
+            w.record_lease(dg, 3, 1)
+            w.record_requeue(dg, 3, "lease-expired")
+            w.append({"t": "fenced", "d": dg, "token": 3, "unix": 0.0})
+            w.record_lease(dg, 5, 2)
+        old_tokens = [r["token"] for r in wal_records(tmp_path)
+                      if "token" in r]
         d = make_daemon(tmp_path).start()
         try:
             assert d.epoch == 2
@@ -298,10 +301,39 @@ class TestRestartReclaim:
             assert d.wait_ticket("t-dead", 300)
             st = d.ticket_status("t-dead")
             assert st["units"]["done"] == 1
-            # the replacement lease is fenced above the dead one
+            # the replacement lease's token is above every old one
+            new_lease = wal_records(tmp_path, "lease")[2]
+            assert new_lease["token"] > max(old_tokens)
             done = wal_records(tmp_path, "done")
-            assert done[-1]["token"] > 5
+            assert done[-1]["token"] == new_lease["token"]
         finally:
             d.stop(grace=30)
         reasons = [r["reason"] for r in wal_records(tmp_path, "requeue")]
         assert "daemon-restart" in reasons
+
+
+class TestStatusView:
+    def test_serve_status_and_obs_serve_print_one_document(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.obs.__main__ import main as obs_main
+        from repro.serve.__main__ import main as serve_main
+
+        d = make_daemon(tmp_path).start()
+        try:
+            assert d.wait_ticket(d.submit("alice", [UNIT])["ticket"], 300)
+        finally:
+            d.stop(grace=10)
+        # pin the wall clock the heartbeat staleness is measured against
+        monkeypatch.setattr(time, "time", lambda: 2e9)
+        printed = []
+        for main, argv in ((serve_main, ["status"]), (obs_main, ["serve"])):
+            for extra in (["--json"], []):
+                assert main([*argv, "--cache-dir", str(tmp_path), *extra]) == 0
+                printed.append(capsys.readouterr().out)
+        serve_json, serve_text, obs_json, obs_text = printed
+        assert serve_json == obs_json and serve_text == obs_text
+        doc = json.loads(serve_json)
+        assert doc["live"] is False and doc["state"] == "stopped"
+        assert doc["by_state"] == {"done": 1} and doc["open_leases"] == 0
+        assert "serve [dead/" in serve_text

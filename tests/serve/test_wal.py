@@ -108,7 +108,8 @@ class TestAppendReplay:
         with make_wal(tmp_path) as w:
             w.record_submit("t-1", "a", "d1", "l", UNIT)
             w.record_reject("b", "quota", 3)
-            w.record_fenced("d1", 42)
+            # as a daemon that still fenced late completions wrote it
+            w.append({"t": "fenced", "d": "d1", "token": 42, "unix": 0.0})
         rep = replay(wal_path(tmp_path))
         assert rep.units["d1"].state == "queued"
         # only lease records mint tokens; fenced records mention one
