@@ -1,24 +1,23 @@
-"""The one dispatch core: warm forked workers, one unit each at a time.
+"""The one dispatch core: warm forked workers, one unit queue.
 
-Both front ends run their cold units here — the sweep engine's parallel
-queue (:class:`~repro.exec.engine.SweepExecutor` at ``jobs > 1``) and
-the daemon's leases (:class:`~repro.serve.daemon.SweepDaemon`).  The
-core is three parts:
+Both front ends run their cold units here — the sweep engine's queue
+(:class:`~repro.exec.engine.SweepExecutor`) and the daemon's leases
+(:class:`~repro.serve.daemon.SweepDaemon`).  The core is three parts:
 
+* :class:`UnitQueue` — order, attempts, backoff and what is running,
+  each attempt settled by :func:`decide`, the one outcome policy;
 * :func:`worker_loop` — a long-lived forked worker serving one unit
   message at a time over a duplex ``multiprocessing.Pipe``;
 * :class:`Dispatcher` — ``jobs`` threads, each owning one lazily
-  forked worker, each polling it for the reply under a hard deadline;
-* :func:`decide` — the outcome policy, which the engine's in-process
-  path asks too: its calling thread runs :func:`run_attempt` and
-  settles on the same ``take``/``settle`` queue the workers serve.
+  forked worker, each polling it for the reply under a hard deadline.
 
-A worker holds one unit at a time, so a worker that dies names its own
-unit: nothing needs probing, and the thread forks a replacement when it
-next needs one.  A unit message is ``(unit_dict, digest, attempt,
-timeout, faults_spec, span_ctx)``; ``None`` (or EOF) tells the worker to
-exit.  The reply is ``(code, reply)`` in the same 0/1/75 classes as the
-sweep CLIs' exit codes (:mod:`repro.exec.lifecycle`):
+A worker runs :func:`run_attempt` (the engine's calling thread does
+too) one unit at a time, so a worker that dies names its own unit:
+nothing needs probing, and the thread forks a replacement when it next
+needs one.  A unit message is ``(unit_dict, digest, attempt, timeout,
+faults_spec, span_ctx)``; ``None`` (or EOF) tells the worker to exit.
+The reply is ``(code, reply)`` in the same 0/1/75 classes as the sweep
+CLIs' exit codes (:mod:`repro.exec.lifecycle`):
 
 * ``0``  — ``{"ok": payload}``; with a cache the result is durably in
   it (atomic fsynced put *before* replying, so a front end's ``done``
@@ -37,6 +36,7 @@ the cache put, dying mid-unit with the work already durable.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -58,8 +58,8 @@ from .cache import ResultCache, result_to_json
 from .unit import execute, unit_from_dict
 
 __all__ = [
-    "Dispatcher", "Job", "decide", "deadline", "failure", "retry_delay",
-    "run_attempt", "spawn_worker", "worker_loop",
+    "Dispatcher", "Job", "UnitQueue", "decide", "deadline", "failure",
+    "retry_delay", "run_attempt", "spawn_worker", "worker_loop",
 ]
 
 #: reply codes (the 0/1/75 exit-code contract) ...
@@ -204,15 +204,30 @@ def _virtual_launch_spans(payload: dict, anchor) -> None:
     )
 
 
-def run_attempt(unit, attempt: int, faults, timeout: Optional[float]) -> dict:
-    """One traced, deadline-bounded execution: the unit's JSON payload."""
-    with tspans.span(
-        "unit.attempt", "unit", label=unit.label(), attempt=attempt
-    ) as anchor:
-        with deadline(timeout):
-            payload = result_to_json(execute(unit, attempt=attempt, faults=faults))
-        _virtual_launch_spans(payload, anchor)
-    return payload
+def run_attempt(
+    unit, digest: str, attempt: int, faults, timeout: Optional[float],
+    cache: Optional[ResultCache],
+) -> tuple:
+    """One traced, deadline-bounded execution: its ``(code, reply)``.
+
+    Success puts the payload durably in ``cache`` first: the fsynced
+    atomic put is what lets a ``done`` record (or a redispatch) trust it.
+    """
+    try:
+        with tspans.span(
+            "unit.attempt", "unit", label=unit.label(), attempt=attempt
+        ) as anchor:
+            with deadline(timeout):
+                payload = result_to_json(
+                    execute(unit, attempt=attempt, faults=faults)
+                )
+            _virtual_launch_spans(payload, anchor)
+        if cache is not None:
+            cache.put(digest, payload)
+    except Exception as e:
+        code, err = failure(e, unit.label(), faults)
+        return code, {"err": err}
+    return EXIT_OK, {"ok": payload}
 
 
 # -- the worker ------------------------------------------------------------
@@ -230,17 +245,7 @@ def _serve(
     injector = faults_mod.from_spec(faults_spec)
     tr = tspans.worker_tracer(span_ctx)
     with metrics.use_registry() as reg, tspans.use_tracer(tr):
-        try:
-            payload = run_attempt(unit, attempt, injector, timeout)
-            if cache is not None:
-                # durable before reportable: the fsynced atomic put is
-                # what lets a `done` record (or a post-crash redispatch)
-                # trust the entry
-                cache.put(digest, payload)
-            code, reply = EXIT_OK, {"ok": payload}
-        except Exception as e:
-            code, err = failure(e, unit.label(), injector)
-            reply = {"err": err}
+        code, reply = run_attempt(unit, digest, attempt, injector, timeout, cache)
         if tr is not None:
             tr.finish()
         reply["telemetry"] = {
@@ -319,11 +324,12 @@ def spawn_worker(cache_dir: Optional[str], name: str) -> tuple:
 # -- the dispatcher --------------------------------------------------------
 @dataclasses.dataclass
 class Job:
-    """One unit handed to a dispatcher thread."""
+    """One unit handed to a dispatcher thread (or queued for one)."""
 
     digest: str
     unit: dict  # the unit's JSON form
     label: str
+    #: the attempt it runs as; while queued, the attempts it has spent
     attempt: int
     #: the front end's number for it (the daemon's lease token)
     token: Optional[int] = None
@@ -331,6 +337,93 @@ class Job:
     pid: Optional[int] = None
     #: monotonic time it was taken
     taken: float = dataclasses.field(default_factory=time.monotonic)
+    #: queue clock time before which a retry must not be taken
+    due: float = 0.0
+
+
+class UnitQueue:
+    """The cold units of one front end: FIFO order, attempts, backoff.
+
+    A digest is queued or in :attr:`running`, never both: no unit is
+    dispatched twice at once.  ``cond`` (a front end may lend its own)
+    guards it all, and ``clock`` reads the deadlines (a test seam).
+    """
+
+    def __init__(
+        self,
+        retries: int,
+        backoff: float,
+        name: str = "exec",
+        cond: Optional[threading.Condition] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.retries, self.backoff = max(0, int(retries)), max(0.0, float(backoff))
+        self.name = name
+        self.cond = cond if cond is not None else threading.Condition()
+        self.clock = clock
+        self._queued: collections.deque = collections.deque()  # of Jobs
+        #: digest -> the Job taken for it and not yet settled
+        self.running: dict = {}
+
+    def __len__(self) -> int:
+        """How many units are queued or running: not yet settled."""
+        return len(self._queued) + len(self.running)
+
+    def push(self, digest: str, unit: dict, label: str, attempts: int = 0) -> None:
+        """Queue a unit that has already spent ``attempts`` attempts."""
+        with self.cond:
+            self._queued.append(Job(digest, unit, label, attempts))
+            self.cond.notify_all()
+
+    def take(self, stop: Callable[[], bool], eligible=lambda digest: True):
+        """Wait for the first queued Job due and ``eligible``; None on ``stop()``."""
+        with self.cond:
+            while not stop():
+                now = self.clock()
+                for i, job in enumerate(self._queued):
+                    if job.due <= now and eligible(job.digest):
+                        del self._queued[i]
+                        job.attempt += 1
+                        job.taken, job.pid = time.monotonic(), None
+                        self.running[job.digest] = job
+                        return job
+                # a deadline already past waits on eligibility, which
+                # only a settle (it notifies) or the poll can change
+                wake = min(
+                    (j.due for j in self._queued if j.due > now),
+                    default=now + POLL_S,
+                )
+                self.cond.wait(min(POLL_S, wake - now))
+            return None
+
+    def settle(self, job: Job, code: int, reply: dict) -> str:
+        """End ``job`` with :func:`decide`'s verdict; queue a retry behind its delay."""
+        verdict = decide(code, job.attempt, self.retries)
+        with self.cond:
+            del self.running[job.digest]
+            if verdict == "retry":
+                delay = retry_delay(self.backoff, job.attempt, job.digest)
+                metrics.counter(f"{self.name}.retries").inc()
+                tspans.event(
+                    "retry.backoff", "unit", label=job.label,
+                    attempt=job.attempt, sleep_s=delay,
+                )
+                log.info(
+                    "unit.retry", label=job.label, attempt=job.attempt,
+                    sleep_s=round(delay, 4), error=reply["err"]["message"],
+                )
+                job.due = self.clock() + delay
+                self._queued.append(job)
+            self.cond.notify_all()
+        return verdict
+
+    def put_back(self, job: Job) -> None:
+        """Requeue ``job``, which never ran: first in line, same attempt."""
+        with self.cond:
+            del self.running[job.digest]
+            job.attempt -= 1
+            self._queued.appendleft(job)
+            self.cond.notify_all()
 
 
 class Dispatcher:

@@ -4,11 +4,11 @@ A :class:`SweepExecutor` serves work units through three layers:
 
 1. an in-process memo table (digest -> payload),
 2. an optional on-disk :class:`~repro.exec.cache.ResultCache`,
-3. actual simulation, through one queue of cold units whose attempts,
-   backoff and verdicts are the same whoever runs them: the warm forked
-   workers of the dispatch core (:mod:`repro.exec.dispatch`, the same
-   core the daemon runs its leases on) when ``jobs > 1`` and more than
-   one unit is cold, the calling thread otherwise.
+3. actual simulation, through the dispatch core's
+   :class:`~repro.exec.dispatch.UnitQueue`, the daemon's queue too, so
+   attempts, backoff and verdicts are the same whoever runs them: the
+   core's warm forked workers when ``jobs > 1`` and more than one unit
+   is cold, the calling thread otherwise.
 
 All results — hits and misses alike — are round-tripped through the
 JSON serialization layer, so the rendered reports are byte-identical
@@ -26,7 +26,7 @@ Partial failure degrades gracefully instead of killing the sweep:
   worker and recorded as a CRASH once ``retries`` are spent;
 * :class:`~repro.errors.TransientError` failures are retried with
   jittered exponential backoff (``retries``/``backoff``), waited out
-  in the queue rather than in a sleep; the core's one outcome policy
+  in the queue rather than in a sleep; the queue's one outcome policy
   (:func:`~repro.exec.dispatch.decide`) judges every attempt;
 * ``timeout`` seconds of wall clock cut a hung unit off (SIGALRM where
   the unit executes, worker or calling thread);
@@ -54,7 +54,6 @@ Crash-safety (see :mod:`repro.exec.lifecycle` / :mod:`repro.exec.journal`):
 """
 from __future__ import annotations
 
-import collections
 import dataclasses
 import threading
 import time
@@ -67,17 +66,7 @@ from ..telemetry import log, metrics
 from ..telemetry import spans as tspans
 from ..telemetry.progress import ProgressLine
 from .cache import ResultCache, result_from_json
-from .dispatch import (
-    EXIT_OK,
-    POLL_S,
-    UNAVAILABLE,
-    Dispatcher,
-    Job,
-    decide,
-    failure,
-    retry_delay,
-    run_attempt,
-)
+from .dispatch import UNAVAILABLE, Dispatcher, UnitQueue, run_attempt
 from .unit import UnitResult, WorkUnit, unit_digest, unit_to_dict
 
 __all__ = ["SweepExecutor", "SweepStats", "UnitRecord", "FailedUnit"]
@@ -460,73 +449,42 @@ class SweepExecutor:
         return len(todo)
 
     # -- the cold-unit queue -----------------------------------------------
-    def _attempt(self, unit: WorkUnit, job: Job) -> tuple:
-        """Run ``job`` on this thread: ``(code, reply)`` as a worker replies."""
-        try:
-            payload = run_attempt(unit, job.attempt, self.faults, self.timeout)
-        except Exception as e:
-            code, err = failure(e, unit.label(), self.faults)
-            return code, {"err": err}
-        if self.cache is not None:
-            self.cache.put(job.digest, payload)  # durable before settled
-        return EXIT_OK, {"ok": payload}
-
     def _run_queue(self, todo: dict) -> None:
-        """Run ``todo`` (digest -> unit) through one ``take``/``settle`` queue.
+        """Run ``todo`` (digest -> unit) through one :class:`UnitQueue`.
 
-        Workers pull from it when ``jobs > 1`` and more than one unit is
+        Workers take from it when ``jobs > 1`` and more than one unit is
         cold, else (or once no worker can be forked) the calling thread,
-        the one SIGALRM's ``timeout`` reaches.  Retries wait out their
-        backoff in the queue; a drain stops admission and, once its
-        grace expires, abandons what is still running (journal ``start``
-        without ``done``: resume re-runs it).  Every worker is reaped
-        before this returns, so its CPU counts as this process's children's.
+        the one SIGALRM's ``timeout`` reaches.  A drain stops admission
+        and, once its grace expires, abandons what is still running
+        (journal ``start`` without ``done``: resume re-runs it).  Every
+        worker is reaped before this returns, so its CPU counts as this
+        process's children's.
         """
-        cond = threading.Condition()
-        queue = collections.deque(todo)
-        attempts = dict.fromkeys(todo, 0)
-        not_before: dict = {}
-        running = 0
+        queue = UnitQueue(self.retries, self.backoff)
+        for d, u in todo.items():
+            queue.push(d, unit_to_dict(u), u.label())
         forked = self.jobs > 1 and len(todo) > 1
 
         def take(slot=None):
-            nonlocal running
-            with cond:
-                while not self.draining:
-                    # dispatcher threads (the calling thread's slot is
-                    # None) end once forking failed or a callback raised
-                    if slot is not None and (not forked or core.error):
-                        break
-                    now = time.monotonic()
-                    ready = (d for d in queue if not_before.get(d, 0.0) <= now)
-                    d = next(ready, None)
-                    if d is not None:
-                        queue.remove(d)
-                        attempts[d] += 1
-                        running += 1
-                        u = todo[d]
-                        if self.journal is not None:
-                            self.journal.record_start(d, u.label(), attempts[d])
-                        return Job(d, unit_to_dict(u), u.label(), attempts[d])
-                    if not queue and not running:
-                        break
-                    # every queued unit is backing off: wake when the
-                    # first one may run (a settle wakes us sooner)
-                    due = min((not_before[q] for q in queue), default=now + POLL_S)
-                    cond.wait(min(POLL_S, due - now))
-                cond.notify_all()
-                return None
+            # dispatcher threads (the calling thread's slot is None) end
+            # once forking failed or a callback raised
+            def stop():
+                return self.draining or not queue or (
+                    slot is not None and (not forked or core.error is not None)
+                )
+
+            with queue.cond:
+                job = queue.take(stop)
+                if job is not None and self.journal is not None:
+                    self.journal.record_start(job.digest, job.label, job.attempt)
+                return job
 
         def settle(job, code, reply):
-            nonlocal running, forked
+            nonlocal forked
             d, u = job.digest, todo[job.digest]
-            verdict = decide(code, job.attempt, self.retries)
-            with cond:
-                running -= 1
-                cond.notify_all()
+            with queue.cond:
                 if code == UNAVAILABLE:
-                    # never ran: back in the queue at the same attempt,
-                    # for the calling thread to run once the workers end
+                    # never ran: the calling thread runs it once the workers end
                     if forked:
                         log.warn(
                             "dispatch.unavailable",
@@ -534,24 +492,12 @@ class SweepExecutor:
                             "sequential execution",
                         )
                     forked = False
-                    attempts[d] -= 1
-                    queue.appendleft(d)
-                elif verdict == "done":
+                    queue.put_back(job)
+                    return
+                verdict = queue.settle(job, code, reply)
+                if verdict == "done":
                     self._store(u, d, reply["ok"])
-                elif verdict == "retry":
-                    delay = retry_delay(self.backoff, job.attempt, d)
-                    metrics.counter("exec.retries").inc()
-                    tspans.event(
-                        "retry.backoff", "unit", label=job.label,
-                        attempt=job.attempt, sleep_s=delay,
-                    )
-                    log.info(
-                        "unit.retry", label=job.label, attempt=job.attempt,
-                        sleep_s=round(delay, 4), error=reply["err"]["message"],
-                    )
-                    not_before[d] = time.monotonic() + delay
-                    queue.append(d)
-                else:
+                elif verdict == "fail":
                     self._record_failure(u, d, reply["err"], job.attempt)
 
         if forked:
@@ -569,4 +515,7 @@ class SweepExecutor:
             if core.error is not None:
                 raise core.error
         while (job := take()) is not None:
-            settle(job, *self._attempt(todo[job.digest], job))
+            settle(job, *run_attempt(
+                todo[job.digest], job.digest, job.attempt, self.faults,
+                self.timeout, self.cache,
+            ))

@@ -124,9 +124,10 @@ def render_serve(doc: dict) -> str:
 
     ``doc`` is :func:`~repro.obs.registry.serve_status`'s document; its
     ``live`` key selects between the daemon's own ``/status`` and the
-    WAL-replay summary assembled for a dead daemon (which carries a
-    ``staleness`` verdict computed from the last heartbeat under the
-    same 3x-interval rule run liveness uses).
+    WAL-replay summary of one that is gone: its terminal state if it
+    drained (``stopped``, or ``interrupted`` with work left), else
+    ``dead`` with the ``staleness`` verdict of its last heartbeat under
+    the same 3x-interval rule run liveness uses.
     """
     if doc.get("live"):
         u = doc.get("units", {})
@@ -158,15 +159,18 @@ def render_serve(doc: dict) -> str:
                 )
         return "\n".join(lines)
     by_state = doc.get("by_state", {})
+    state = doc.get("state")
+    killed = state == "running"  # the boot journaled no terminal state
+    if killed:
+        state = f"dead/{doc.get('staleness', 'no-heartbeat')}"
     lines = [
-        f"serve [dead/{doc.get('staleness', 'no-heartbeat')}]  "
-        f"epoch {doc.get('epoch')}  last state {doc.get('state')!r}",
+        f"serve [{state}]  epoch {doc.get('epoch')}",
         f"  units:      "
         + (", ".join(f"{n} {s}" for s, n in sorted(by_state.items()))
            or "none"),
         f"  tickets:    {doc.get('tickets', 0)}",
-        f"  leases:     {doc.get('open_leases', 0)} open at death "
-        f"(reclaimed on next boot)",
+        f"  leases:     {doc.get('open_leases', 0)} open"
+        + (" at death (reclaimed on next boot)" if killed else ""),
         f"  wal:        {doc.get('wal', '-')} "
         f"({doc.get('records', 0)} record(s), {doc.get('torn_lines', 0)} torn)",
     ]

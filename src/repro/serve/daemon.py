@@ -11,10 +11,10 @@
   two tenants asking for the same unit share one execution and one
   cache entry, and anything already in the
   :class:`~repro.exec.cache.ResultCache` is served without running;
-* **leased dispatch** — each queued unit is handed to exactly one
-  dispatcher thread at a time, journaled as a ``lease`` under a token
-  from a counter that never repeats across boots; the lease is that
-  thread's job, so it ends when the thread settles it, when
+* **leased dispatch** — each queued unit is handed to one dispatcher
+  thread at a time, journaled as a ``lease`` under a token from a
+  counter that never repeats across boots; the lease is that thread's
+  job, so it ends when the thread settles it, when
   :meth:`SweepDaemon.stop` requeues it, or with the daemon itself (the
   next boot requeues it from the WAL);
 * **admission control** — per-tenant quotas, global backpressure, and
@@ -32,9 +32,10 @@ lease, and the thread forks a replacement for its next one).  The
 daemon supplies the core's callbacks — lease the next unit, journal the
 outcome — and one housekeeping thread heartbeats the WAL, flushes
 metrics snapshots, and drains the daemon should a callback fail (the
-core's :attr:`~repro.exec.dispatch.Dispatcher.error`).  All queue state
-is guarded by a single condition variable; no worker process is ever
-awaited while the lock is held.
+core's :attr:`~repro.exec.dispatch.Dispatcher.error`).  The core's
+:class:`~repro.exec.dispatch.UnitQueue` holds the queue under the
+daemon's one condition variable, which guards all of its state; no
+worker process is ever awaited while the lock is held.
 """
 from __future__ import annotations
 
@@ -52,12 +53,12 @@ from ..exec.cache import (
     result_from_json,
 )
 from ..exec.dispatch import (
+    EXIT_OK,
     EXIT_TRANSIENT,
     POLL_S,
     Dispatcher,
     Job,
-    decide,
-    retry_delay,
+    UnitQueue,
 )
 from ..exec.unit import unit_digest, unit_from_dict, unit_to_dict
 from ..telemetry import log, metrics
@@ -69,7 +70,7 @@ from .admission import (
     BreakerBoard,
     TenantQuota,
 )
-from .wal import QueueWAL, TicketEntry, UnitEntry
+from .wal import UNIT_STATES, QueueWAL, TicketEntry, UnitEntry
 from .wal import replay as wal_replay
 from .wal import wal_path
 
@@ -109,8 +110,6 @@ class SweepDaemon:
         self.cache = ResultCache(cache_dir)
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
-        self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
         self.quota = quota if quota is not None else TenantQuota(
             max_inflight=self.jobs
         )
@@ -129,13 +128,11 @@ class SweepDaemon:
         self._work = threading.Condition(self._lock)
         self._units: dict = {}  # digest -> UnitEntry
         self._tickets: dict = {}  # ticket id -> TicketEntry
-        self._pending: collections.deque = collections.deque()
-        #: digest -> monotonic time before which it must not re-dispatch
-        #: (jittered transient backoff)
-        self._not_before: dict = {}
+        #: queued and leased units, under the daemon's own condition
+        self._queue = UnitQueue(
+            retries, backoff, name="serve", cond=self._work,
+        )
         self._closed = False  # set by stop(): no lease outcome
-        #: digest -> the dispatcher Job holding its lease
-        self._running: dict = {}
         #: the next lease token: above every token the WAL has seen
         self._next_token = 1
         self._rejects: dict = {}  # tenant -> count
@@ -169,14 +166,14 @@ class SweepDaemon:
         # dispatcher thread: requeue the unit, journal the reclaim — the
         # old worker's result, if it still lands in the cache, is
         # idempotent and byte-identical
-        for d, token in rep.open_leases.items():
-            entry = self._units.get(d)
-            if entry is None or entry.state != "leased":
-                continue
-            entry.state = "queued"
-            self.wal.record_requeue(d, token, "daemon-restart")
-            self.reclaimed_on_boot += 1
-            metrics.counter("serve.reclaims").inc()
+        for d in rep.queued_digests():
+            entry = self._units[d]
+            if entry.state == "leased":
+                entry.state = "queued"
+                self.wal.record_requeue(d, rep.open_leases[d], "daemon-restart")
+                self.reclaimed_on_boot += 1
+                metrics.counter("serve.reclaims").inc()
+            self._queue.push(d, entry.unit, entry.label, entry.attempts)
         if self.reclaimed_on_boot:
             log.warn(
                 "serve.reclaim",
@@ -184,9 +181,6 @@ class SweepDaemon:
                 f"from a previous daemon (epoch {self.epoch - 1})",
             )
         self.cache.purge_tmp()
-        for d, u in self._units.items():
-            if u.state == "queued":
-                self._pending.append(d)
         self._core.start()
         self._housekeeper = durable.every(
             self.hb_interval, self._housekeep, name="serve-housekeeping"
@@ -194,7 +188,7 @@ class SweepDaemon:
         log.info(
             "serve.boot",
             f"daemon up: epoch {self.epoch}, {self.jobs} dispatchers, "
-            f"{len(self._pending)} unit(s) queued from WAL replay",
+            f"{len(self._queue)} unit(s) queued from WAL replay",
         )
         return self
 
@@ -235,11 +229,11 @@ class SweepDaemon:
         # _closed at the next poll and kill their workers
         with self._work:
             self._closed = True
-            for d, job in self._running.items():
-                self._units[d].state = "queued"
-                self.wal.record_requeue(d, job.token, "drain-killed")
+            for job in list(self._queue.running.values()):
+                self._units[job.digest].state = "queued"
+                self.wal.record_requeue(job.digest, job.token, "drain-killed")
                 metrics.counter("serve.reclaims").inc()
-            self._running.clear()
+                self._queue.put_back(job)
             counts = self._counts_locked()
             remaining = counts["queued"] + counts["leased"]
             state = "stopped" if remaining == 0 else "interrupted"
@@ -272,7 +266,7 @@ class SweepDaemon:
         )
 
     def _inflight_of(self, tenant: str) -> int:
-        return sum(1 for d in self._running if self._units[d].owner == tenant)
+        return sum(self._units[d].owner == tenant for d in self._queue.running)
 
     def _reject(
         self, tenant: str, reason: str, count: int, detail: str = ""
@@ -379,7 +373,7 @@ class SweepDaemon:
                     metrics.counter("serve.done.cache").inc()
                 else:
                     entry.state = "queued"
-                    self._pending.append(dg)
+                    self._queue.push(dg, unit_dict, u.label())
             metrics.counter("serve.submits").inc()
             metrics.counter("serve.units.submitted").inc(len(uniq))
             self._work.notify_all()
@@ -394,73 +388,54 @@ class SweepDaemon:
         )
 
     # -- dispatch ----------------------------------------------------------
-    def _next_dispatchable(self) -> Optional[str]:
-        """Pop the first queued digest whose owner has an in-flight slot."""
-        now = time.monotonic()
-        for _ in range(len(self._pending)):
-            d = self._pending.popleft()
-            entry = self._units.get(d)
-            if entry is None or entry.state != "queued":
-                continue  # stale pointer (completed via cache, failed, ...)
-            if self._not_before.get(d, 0.0) > now:
-                self._pending.append(d)
-                continue
-            if self._inflight_of(entry.owner) >= self.quota.max_inflight:
-                self._pending.append(d)  # tenant at in-flight cap: rotate
-                continue
-            return d
-        return None
+    def _stopping(self) -> bool:
+        # a failed callback left the queue unsettled: dispatch no more
+        return self._stop.is_set() or self._core.error is not None
+
+    def _has_slot(self, digest: str) -> bool:  # the tenant in-flight cap
+        owner = self._units[digest].owner
+        return self._inflight_of(owner) < self.quota.max_inflight
 
     def _take(self, slot: int) -> Optional[Job]:
-        """The core's ``take``: lease the next unit; None once stopping.
-
-        Also None once the core has an error: a failed callback left
-        the queue unsettled, so nothing more is dispatched.
-        """
+        """The core's ``take``: lease the next unit; None once stopping."""
         with self._work:
             while True:
-                d = None
-                while not self._stop.is_set() and self._core.error is None:
-                    d = self._next_dispatchable()
-                    if d is not None:
-                        break
-                    self._work.wait(POLL_S)
-                if d is None:
+                job = self._queue.take(self._stopping, self._has_slot)
+                if job is None:
                     return None
+                d = job.digest
                 entry = self._units[d]
-                if self.cache.get(d) is not None:
+                payload = self.cache.get(d)
+                if payload is not None:
                     # dedup against work finished since this was queued
+                    self._queue.settle(job, EXIT_OK, {"ok": payload})
                     entry.state = "done"
                     entry.source = "cache"
                     self.wal.record_done(d, None, "cache")
                     metrics.counter("serve.done.cache").inc()
-                    self._work.notify_all()
                     continue
-                entry.attempts += 1
+                entry.attempts = job.attempt
                 entry.state = "leased"
-                job = self._running[d] = Job(
-                    d, entry.unit, entry.label, entry.attempts,
-                    token=self._next_token,
-                )
+                job.token = self._next_token
                 self._next_token += 1
-                self.wal.record_lease(d, job.token, entry.attempts)
+                self.wal.record_lease(d, job.token, job.attempt)
                 metrics.counter("serve.leases").inc()
                 return job
 
     # -- outcomes ----------------------------------------------------------
     def _settle(self, job: Job, code: int, reply: dict) -> None:
-        """The core's ``settle``: journal the policy's verdict, end the lease.
+        """The core's ``settle``: journal the queue's verdict, end the lease.
 
-        Each queued digest is leased to one thread at a time, and only
-        that thread settles it, so at most one ``done`` is ever
-        journaled per digest.
+        Only the lease's own thread settles it (the queue's single
+        dispatch), so at most one ``done`` is journaled per digest.  A
+        failed fork costs an attempt: with no in-process fallback, a
+        daemon that cannot fork would spin.
         """
         d, token = job.digest, job.token
-        verdict = decide(code, job.attempt, self.retries)
         with self._work:
             if self._closed:
                 return  # stop() already requeued and journaled the lease
-            del self._running[d]
+            verdict = self._queue.settle(job, code, reply)
             entry = self._units[d]
             if verdict == "done":
                 entry.state = "done"
@@ -469,28 +444,11 @@ class SweepDaemon:
                 metrics.counter("serve.done.run").inc()
                 self._record_breaker(entry, success=True)
             elif verdict == "retry":
-                reason = (
+                entry.state = "queued"
+                self.wal.record_requeue(d, token, (
                     "transient" if code == EXIT_TRANSIENT
                     else reply["err"]["message"]
-                )
-                entry.state = "queued"
-                self.wal.record_requeue(d, token, reason)
-                # jittered exponential backoff, seeded from the digest:
-                # concurrent tenants retrying the same transient spread
-                # out instead of thundering-herding the dispatchers
-                self._not_before[d] = time.monotonic() + retry_delay(
-                    self.backoff, job.attempt, d
-                )
-                self._pending.append(d)
-                if code == EXIT_TRANSIENT:
-                    metrics.counter("serve.retries").inc()
-                else:
-                    metrics.counter("serve.reclaims").inc()
-                    log.warn(
-                        "serve.reclaim",
-                        f"lease {token} on {entry.label} reclaimed "
-                        f"({reason}); re-dispatching",
-                    )
+                ))
             else:
                 err = reply["err"]
                 entry.state = "failed"
@@ -508,7 +466,6 @@ class SweepDaemon:
                     f"unit {entry.label} failed terminally ({entry.kind}"
                     f"{', injected' if entry.injected else ''})",
                 )
-            self._work.notify_all()
 
     def _record_breaker(self, entry: UnitEntry, success: bool) -> None:
         device = entry.unit.get("device", "")
@@ -551,28 +508,23 @@ class SweepDaemon:
         return None if e is None else f"{type(e).__name__}: {e}"
 
     def _counts_locked(self) -> dict:
-        counts = {"queued": 0, "leased": 0, "done": 0, "failed": 0}
+        counts = dict.fromkeys(UNIT_STATES, 0)
         for u in self._units.values():
-            counts[u.state] = counts.get(u.state, 0) + 1
+            counts[u.state] += 1
         return counts
 
     def status(self) -> dict:
         """The ``/status`` document: queue, tenants, leases, breakers."""
         with self._lock:
             counts = self._counts_locked()
-            tenants: dict = {}
+            tenants: dict = collections.defaultdict(
+                lambda: dict.fromkeys((*UNIT_STATES, "rejected"), 0)
+            )
             for u in self._units.values():
                 for t in u.tenants:
-                    row = tenants.setdefault(
-                        t, {"queued": 0, "leased": 0, "done": 0, "failed": 0,
-                            "rejected": 0},
-                    )
-                    row[u.state] += 1
+                    tenants[t][u.state] += 1
             for t, n in self._rejects.items():
-                tenants.setdefault(
-                    t, {"queued": 0, "leased": 0, "done": 0, "failed": 0,
-                        "rejected": 0},
-                )["rejected"] = n
+                tenants[t]["rejected"] = n
             for t, row in tenants.items():
                 row["outstanding"] = row["queued"] + row["leased"]
                 row["inflight"] = self._inflight_of(t)
@@ -586,7 +538,8 @@ class SweepDaemon:
                     "pid": job.pid,
                     "age_s": round(now - job.taken, 3),
                 }
-                for job in sorted(self._running.values(), key=lambda j: j.token)
+                # taken, so tokened, in insertion order
+                for job in self._queue.running.values()
             ]
             complete_tickets = sum(
                 1 for tk in self._tickets.values()
@@ -646,7 +599,7 @@ class SweepDaemon:
             if tk is None:
                 return None
             rows = []
-            counts = {"queued": 0, "leased": 0, "done": 0, "failed": 0}
+            counts = dict.fromkeys(UNIT_STATES, 0)
             for d in tk.digests:
                 u = self._units.get(d)
                 if u is None:

@@ -137,6 +137,35 @@ class TestAdmission:
         finally:
             d.stop(grace=30)
 
+    def test_inflight_cap_holds_at_dispatch(self, tmp_path):
+        # two dispatchers but one in-flight lease per tenant: alice's
+        # three units run one at a time, bob's runs beside one of them
+        alice = [UNIT, UNIT2, {**UNIT, "benchmark": "TranP"}]
+        bob = [{**UNIT, "benchmark": "Reduce"}]
+        d = make_daemon(
+            tmp_path, jobs=2, quota=TenantQuota(max_inflight=1)
+        ).start()
+        try:
+            tickets = [d.submit("alice", alice)["ticket"],
+                       d.submit("bob", bob)["ticket"]]
+            assert all(d.wait_ticket(t, 300) for t in tickets)
+        finally:
+            d.stop(grace=30)
+        owner = {r["d"]: r["tenant"] for r in wal_records(tmp_path, "submit")}
+        open_leases = {"alice": 0, "bob": 0}
+        most = dict(open_leases)
+        for r in wal_records(tmp_path):
+            if r["t"] == "lease":
+                tenant = owner[r["d"]]
+                open_leases[tenant] += 1
+                most[tenant] = max(most[tenant], open_leases[tenant])
+            elif r["t"] in ("done", "fail", "requeue"):
+                open_leases[owner[r["d"]]] -= 1
+        assert most == {"alice": 1, "bob": 1}
+        done = wal_records(tmp_path, "done")
+        assert len(done) == 4 and {r["source"] for r in done} == {"run"}
+        assert not wal_records(tmp_path, "fail")
+
     def test_backpressure_bounds_the_queue(self, tmp_path):
         d = make_daemon(tmp_path, queue_bound=1).start()
         try:
@@ -336,4 +365,27 @@ class TestStatusView:
         doc = json.loads(serve_json)
         assert doc["live"] is False and doc["state"] == "stopped"
         assert doc["by_state"] == {"done": 1} and doc["open_leases"] == 0
-        assert "serve [dead/" in serve_text
+        # a daemon that drained renders its terminal state, not death
+        assert serve_text.startswith("serve [stopped]  epoch 1\n")
+        assert "dead" not in serve_text and "open at death" not in serve_text
+
+    def test_wal_without_terminal_state_renders_dead(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a killed daemon leaves no `state` record: its last boot is
+        # still "running", and its open lease waits for the next boot
+        from repro.obs.__main__ import main as obs_main
+        from repro.serve.wal import QueueWAL
+
+        u = make_unit(**UNIT)
+        dg = unit_digest(u)
+        with QueueWAL(wal_path(tmp_path)) as w:
+            w.record_boot(1, 2)
+            w.record_submit("t-dead", "alice", dg, u.label(), UNIT)
+            w.record_lease(dg, 1, 1)
+            w.record_heartbeat(1.0, queued=0, leased=1, done=0, failed=0)
+        monkeypatch.setattr(time, "time", lambda: 2e9)
+        assert obs_main(["serve", "--cache-dir", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("serve [dead/stale]  epoch 1\n")
+        assert "  leases:     1 open at death (reclaimed on next boot)" in text
