@@ -6,13 +6,13 @@
 only artifacts that are provably dead:
 
 * **journal compaction** — journals of runs that reached a terminal
-  state are rewritten without their ``start`` and ``hb`` records.
-  Both are only meaningful for a run that might still resume or be
-  watched live; the compacted journal replays to the identical
-  completed/failed classification (``done``/``fail``/``state`` records
-  are kept verbatim), so ``--resume`` of a *complete* run still serves
-  everything from cache.  Journals of running/interrupted runs are
-  never touched — their in-flight set is exactly what resume needs.
+  state are rewritten without the records whose removal leaves the
+  fold unchanged: ``hb`` beats, and the ``lease``/``requeue`` records
+  of units a ``done`` or ``fail`` settled.  The compacted journal
+  folds to the identical completed, failed and in-flight sets and
+  state, so ``--resume`` of an interrupted run re-runs exactly what it
+  would have, and of a *complete* run still serves everything from
+  cache.  Journals of running runs are never touched.
 * **tmp corpses** — pid-suffixed ``*.tmp.*`` files orphaned by killed
   writers, in the cache shards, the metrics dir, the journal dir, and
   the daemon's ``serve/`` state dir.
@@ -46,10 +46,10 @@ __all__ = ["main", "gc_run", "DEFAULT_MAX_AGE_DAYS"]
 #: quarantined entries younger than this many days are kept for triage
 DEFAULT_MAX_AGE_DAYS = 7.0
 
-#: record types that survive journal compaction: everything replay
-#: needs to classify a *terminal* run (in-flight reconstruction needs
-#: ``start``, but a terminal run's in-flight set is only history)
+#: record types that survive journal compaction whole; the records
+#: that open and reopen a lease survive only for unsettled units
 _KEEP_RECORDS = ("run", "plan", "done", "fail", "state")
+_LEASE_RECORDS = ("lease", "start", "requeue")
 
 #: journal states eligible for compaction
 _TERMINAL = ("complete", "interrupted", "failed")
@@ -63,7 +63,7 @@ def _size(path: Path) -> int:
 
 
 def _compact_journal(path: Path, dry_run: bool) -> int:
-    """Rewrite one terminal journal without start/hb records.
+    """Rewrite one terminal journal without the records the fold ignores.
 
     Returns bytes reclaimed (0 when the journal is not terminal, is
     already compact, or cannot be read).  The rewrite is an atomic
@@ -74,9 +74,15 @@ def _compact_journal(path: Path, dry_run: bool) -> int:
         size = path.stat().st_size
     except OSError:
         return 0
-    kept = [r for r in records if r.get("t") in _KEEP_RECORDS]
-    states = [r.get("state") for r in records if r.get("t") == "state"]
-    if not states or states[-1] not in _TERMINAL or len(kept) == len(records):
+    rep = journal_mod.JournalReplay(path=path)
+    for r in records:
+        journal_mod.fold(rep, r)
+    settled = rep.completed | set(rep.failed)
+    kept = [
+        r for r in records if r.get("t") in _KEEP_RECORDS
+        or (r.get("t") in _LEASE_RECORDS and r.get("d") not in settled)
+    ]
+    if rep.state not in _TERMINAL or len(kept) == len(records):
         return 0
     new_body = "".join(durable.encode(r) for r in kept)
     reclaimed = max(0, size - len(new_body.encode()))

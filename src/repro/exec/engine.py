@@ -38,9 +38,10 @@ Partial failure degrades gracefully instead of killing the sweep:
 Crash-safety (see :mod:`repro.exec.lifecycle` / :mod:`repro.exec.journal`):
 
 * an optional :class:`~repro.exec.journal.RunJournal` receives a
-  fsynced ``start`` record before each attempt is dispatched, and a
-  ``done`` only once its result is durably in the cache (or a
-  ``fail``), so a killed process leaves a replayable record of exactly
+  fsynced ``lease`` record before each attempt is dispatched, and the
+  record of the queue's verdict once it settles: ``done`` only once
+  its result is durably in the cache, ``requeue`` for a retry, or
+  ``fail``; so a killed process leaves a replayable record of exactly
   which units were in flight;
 * :meth:`SweepExecutor.request_drain` (wired to SIGINT/SIGTERM by
   :class:`~repro.exec.lifecycle.GracefulShutdown`) stops admission:
@@ -207,7 +208,7 @@ class SweepExecutor:
         self._mem: dict = {}  # digest -> payload
         self._digests: dict = {}  # WorkUnit -> digest
         self._failed: dict = {}  # digest -> FailedUnit (quarantined units)
-        #: optional RunJournal receiving start/done/fail records
+        #: optional RunJournal receiving the unit-lifecycle records
         self.journal = journal
         #: JournalReplay this run resumes, when any
         self.resumed = resumed
@@ -302,10 +303,6 @@ class SweepExecutor:
                     "fault.injected", "fault", kind="corrupt", label=label,
                 )
         metrics.histogram("exec.unit_sim_s").observe(payload["seconds"])
-        # the result is durably in the cache before the journal says
-        # done — a crash between the two re-runs, never fabricates
-        if self.journal is not None:
-            self.journal.record_done(digest)
         self.stats.record(unit, digest, payload["seconds"], payload, "run")
         if self._progress_line is not None:
             self._progress_line.tick(seconds=payload["seconds"])
@@ -321,8 +318,6 @@ class SweepExecutor:
         )
         self.stats.failures.append(failed)
         self._failed[digest] = failed
-        if self.journal is not None:
-            self.journal.record_fail(digest, kind, injected)
         metrics.counter(f"exec.failures.{kind}").inc()
         if injected:
             metrics.counter("exec.failures.injected").inc()
@@ -456,7 +451,7 @@ class SweepExecutor:
         cold, else (or once no worker can be forked) the calling thread,
         the one SIGALRM's ``timeout`` reaches.  A drain stops admission
         and, once its grace expires, abandons what is still running
-        (journal ``start`` without ``done``: resume re-runs it).  Every
+        (journal ``lease`` without ``done``: resume re-runs it).  Every
         worker is reaped before this returns, so its CPU counts as this
         process's children's.
         """
@@ -476,7 +471,7 @@ class SweepExecutor:
             with queue.cond:
                 job = queue.take(stop)
                 if job is not None and self.journal is not None:
-                    self.journal.record_start(job.digest, job.label, job.attempt)
+                    self.journal.record_lease(job.digest, job.label, job.attempt)
                 return job
 
         def settle(job, code, reply):
@@ -495,6 +490,10 @@ class SweepExecutor:
                     queue.put_back(job)
                     return
                 verdict = queue.settle(job, code, reply)
+                if self.journal is not None:
+                    # a done vouches for a result the attempt already put
+                    # durably: a crash before it re-runs, never fabricates
+                    self.journal.record_settle(job, verdict, reply)
                 if verdict == "done":
                     self._store(u, d, reply["ok"])
                 elif verdict == "fail":

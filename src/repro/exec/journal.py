@@ -1,39 +1,14 @@
-"""The per-run sweep journal: a write-ahead log for crash-safe sweeps.
+"""The unit-lifecycle log: one record vocabulary, one writer, one fold.
 
-A :class:`RunJournal` is an append-only JSONL file under the sweep
-workdir (``<cache>/journal/<run-id>.jsonl``) recording the lifecycle of
-every work unit the engine admits: ``start`` before execution, ``done``
-after the result is stored (the result itself is written atomically by
-:class:`~repro.exec.cache.ResultCache`), ``fail`` on terminal failure,
-plus run-level records (``run`` header, ``plan``, a final ``state`` of
-``complete`` / ``interrupted`` / ``failed``; replay skips the ``demote``
-records older engines wrote).  The file is a :class:`repro.durable.Log`: every append
-is flushed and fsynced, so the journal is the durable source of truth
-about what a killed process was doing.
-
-While a sweep runs, the journal is also its *liveness* channel: a
-daemon thread started by :meth:`RunJournal.start_heartbeat` appends a
-``hb`` record every few seconds (progress counters, pid, interval), so
-an out-of-process reader (:mod:`repro.obs`) can tell a live run from a
-crashed one and flag in-flight units that have outlived the beat.  The
-same thread drives the periodic metrics-snapshot flush the OpenMetrics
-exporter reads.
-
-Replay (:func:`load` -> :class:`JournalReplay`) classifies every digest
-the journal mentions.  :func:`fold` is the one reducer behind it: the
-resume path and :mod:`repro.obs`'s live status both fold records with
-it, so the two can never disagree about a unit:
-
-* **completed** — a ``done`` record exists; the atomic cache entry for
-  the digest is trusted and the unit is *not* re-simulated on resume;
-* **failed** — terminally failed (its kind is preserved for reporting);
-* **in-flight** — ``start`` with no ``done``/``fail``: the process died
-  (or was interrupted) while the unit executed, so resume re-enqueues
-  it.
-
-A torn final line — the record being appended when the process died —
-is counted and ignored (see :mod:`repro.durable`); everything before it
-is intact by the append-only discipline.
+Both front ends keep a durable log of the units they run: the sweep
+engine a :class:`RunJournal` per run (``<cache>/journal/<run-id>
+.jsonl``), the daemon one :class:`~repro.serve.wal.QueueWAL`.  Both
+write the unit records through :class:`UnitLog` (the record table is in
+DESIGN.md, "Durable files"), and every reader -- resume,
+:mod:`repro.obs`, the daemon's replay and live queue -- reduces them
+with :func:`fold`, the one function that turns a unit record into unit
+state.  A torn final line (the append a killed writer left) is counted
+and ignored (see :mod:`repro.durable`).
 """
 from __future__ import annotations
 
@@ -44,25 +19,35 @@ from pathlib import Path
 from typing import Optional
 
 from .. import durable
+from ..errors import FailureKind
 from ..telemetry import log, metrics
 
 __all__ = [
+    "UnitLog",
+    "UnitState",
+    "LogReplay",
     "RunJournal",
     "JournalReplay",
+    "UNIT_STATES",
     "journal_dir",
     "fold",
+    "fold_file",
     "load",
     "resolve",
     "latest_resumable",
     "JOURNAL_SCHEMA",
 ]
 
-#: v2 added per-record ``unix`` timestamps and periodic ``hb``
-#: heartbeat records; replay ignores both, so v1 journals still resume
-JOURNAL_SCHEMA = 2
+#: v2 added per-record ``unix`` timestamps and ``hb`` records; v3
+#: writes ``lease`` where v2 wrote ``start``, plus ``requeue`` records;
+#: the fold reads every version
+JOURNAL_SCHEMA = 3
 
-#: terminal run states a ``state`` record may carry
+#: terminal run states a journal's ``state`` record may carry
 RUN_STATES = ("complete", "interrupted", "failed")
+
+#: the states :func:`fold` gives a unit
+UNIT_STATES = ("queued", "leased", "done", "failed")
 
 
 def journal_dir(cache_dir) -> Path:
@@ -70,30 +55,285 @@ def journal_dir(cache_dir) -> Path:
     return Path(cache_dir) / "journal"
 
 
-@dataclasses.dataclass
-class JournalReplay:
-    """What a journal says happened, classified for resume."""
+# -- the writer -------------------------------------------------------------
+class UnitLog:
+    """The unit-lifecycle records over one durable log.
 
-    run_id: str
-    path: Optional[Path]
-    #: final run state: one of RUN_STATES, or "running" when the journal
-    #: ends without a state record (the process was killed outright)
+    Every record goes through the subclass's own ``append``.
+    ``metric`` names the counters its appends and heartbeats bump.
+    """
+
+    def __init__(self, path, metric: str) -> None:
+        self._log = durable.Log(path, f"{metric}.appends", f"{metric}.append_s")
+        self.path = self._log.path
+        self._metric = metric
+        self._hb_thread = None  # durable.every() thread
+        self._hb_flush = None
+
+    @property
+    def closed(self) -> bool:
+        return self._log.closed
+
+    def _unit(self, t: str, digest: str, token: Optional[int], **fields) -> None:
+        rec = {"t": t, "d": digest, **fields, "unix": time.time()}
+        if token is not None:
+            rec["token"] = token
+        self.append(rec)
+
+    def record_lease(
+        self, digest: str, label: str, attempt: int, token: Optional[int] = None
+    ) -> None:
+        self._unit("lease", digest, token, label=label, attempt=attempt)
+
+    def record_done(
+        self, digest: str, source: str = "run", token: Optional[int] = None
+    ) -> None:
+        self._unit("done", digest, token, source=source)
+
+    def record_fail(
+        self, digest: str, kind: str, injected: bool = False, attempts: int = 1,
+        token: Optional[int] = None,
+    ) -> None:
+        self._unit(
+            "fail", digest, token, kind=kind, injected=injected,
+            attempts=attempts,
+        )
+
+    def record_requeue(
+        self, digest: str, reason: str, token: Optional[int] = None
+    ) -> None:
+        self._unit("requeue", digest, token, reason=reason)
+
+    def record_settle(self, job, verdict: str, reply: dict) -> None:
+        """Record the verdict :meth:`UnitQueue.settle` gave ``job``."""
+        if verdict == "done":
+            self.record_done(job.digest, "run", job.token)
+            return
+        err = reply["err"]
+        if verdict == "retry":
+            self.record_requeue(job.digest, (
+                "transient" if err["kind"] == FailureKind.TRANSIENT.value
+                else err["message"]
+            ), job.token)
+        else:
+            self.record_fail(
+                job.digest, err["kind"], bool(err["injected"]), job.attempt,
+                job.token,
+            )
+
+    def record_heartbeat(self, interval: float, **progress) -> None:
+        """One liveness beat: pid + interval + whatever progress counters."""
+        self.append(
+            {"t": "hb", "unix": time.time(), "pid": os.getpid(),
+             "interval": float(interval), **progress}
+        )
+        metrics.counter(f"{self._metric}.heartbeats").inc()
+
+    def record_state(self, state: str) -> None:
+        self.append({"t": "state", "state": state, "unix": time.time()})
+
+    # -- heartbeat thread --------------------------------------------------
+    def start_heartbeat(
+        self, interval: float, stats_fn=None, flush_fn=None
+    ) -> bool:
+        """Beat every ``interval`` seconds until :meth:`stop_heartbeat`.
+
+        ``stats_fn`` (when given) supplies the progress counters each
+        beat carries; ``flush_fn`` runs after every beat, and once more
+        when the beating stops -- the front ends flush their metrics
+        snapshot with it, so an out-of-process scraper always sees data
+        at most one beat old.  Idempotent: only the first call starts a
+        thread.
+        """
+        if interval <= 0 or self._hb_thread is not None or self.closed:
+            return False
+        self._hb_flush = flush_fn
+
+        def beat() -> None:
+            self.record_heartbeat(
+                interval, **(stats_fn() if stats_fn is not None else {})
+            )
+            if flush_fn is not None:
+                flush_fn()
+
+        self._hb_thread = durable.every(interval, beat)
+        return True
+
+    def stop_heartbeat(self) -> None:
+        """Stop beating, then run the flush once more (a final snapshot)."""
+        if self._hb_thread is None:
+            return
+        self._hb_thread.stop()
+        self._hb_thread = None
+        try:
+            self._hb_flush()  # final snapshot covers the whole run
+        except Exception:
+            pass
+        self._hb_flush = None
+
+    def close(self, state: str) -> None:
+        """Stop the heartbeat, write the terminal ``state``, close the file."""
+        self.stop_heartbeat()
+        self.record_state(state)
+        self._log.close()
+
+
+# -- the fold ---------------------------------------------------------------
+@dataclasses.dataclass
+class UnitState:
+    """One digest's life, as the log tells it."""
+
+    digest: str
+    label: str = ""
+    state: str = "queued"  # one of UNIT_STATES
+    attempts: int = 0
+    #: the open lease's token, where the front end mints them
+    token: Optional[int] = None
+    #: ``unix`` of the lease that put it in flight
+    leased_unix: Optional[float] = None
+    #: how the terminal ``done`` was served: "run" | "cache"
+    source: str = ""
+    #: a failed unit's FailureKind value, and whether it was planted
+    kind: str = ""
+    injected: bool = False
+
+
+@dataclasses.dataclass
+class LogReplay:
+    """What a unit-lifecycle log says, folded record by record."""
+
+    path: Optional[Path] = None
+    #: the writer's last ``state`` record; "running" while it has none
     state: str = "running"
-    command: str = ""
-    #: digests with a ``done`` record (served results are durable)
-    completed: set = dataclasses.field(default_factory=set)
-    #: digest -> kind for terminally failed units
-    failed: dict = dataclasses.field(default_factory=dict)
-    #: the failed digests whose fault was planted by ``repro.faults``
-    injected: set = dataclasses.field(default_factory=set)
-    #: digests with a ``start`` but neither ``done`` nor ``fail``
-    in_flight: set = dataclasses.field(default_factory=set)
-    #: digest -> label, for human-readable resume reporting
-    labels: dict = dataclasses.field(default_factory=dict)
-    #: run id this journal itself resumed from, when chained
-    resumed_from: Optional[str] = None
+    units: dict = dataclasses.field(default_factory=dict)  # digest -> UnitState
+    #: the next lease token must be above every token the log mentions
+    next_token: int = 1
+    records: int = 0
     #: torn/unparseable lines skipped during replay
     torn_lines: int = 0
+    first_unix: Optional[float] = None
+    last_unix: Optional[float] = None
+    last_heartbeat: Optional[dict] = None
+
+    #: what :meth:`unit` creates for a digest first mentioned
+    unit_type = UnitState
+
+    def unit(self, digest: str) -> UnitState:
+        st = self.units.get(digest)
+        if st is None:
+            st = self.units[digest] = self.unit_type(digest=digest)
+        return st
+
+    def apply(self, rec: dict) -> None:
+        """Fold a record of this front end's own (non-unit) types."""
+
+    def _where(self, state: str) -> list:
+        return [d for d, u in self.units.items() if u.state == state]
+
+    @property
+    def open_leases(self) -> dict:
+        """digest -> token of every lease no record has ended yet."""
+        return {d: u.token for d, u in self.units.items() if u.state == "leased"}
+
+    @property
+    def in_flight(self) -> set:
+        """Leased units: the writer died (or stopped) holding them."""
+        return set(self._where("leased"))
+
+    @property
+    def completed(self) -> set:
+        """Units with a ``done``: their cached results are trusted."""
+        return set(self._where("done"))
+
+    @property
+    def failed(self) -> dict:
+        """digest -> kind of every terminally failed unit."""
+        return {d: self.units[d].kind for d in self._where("failed")}
+
+    @property
+    def injected(self) -> set:
+        """The failed units whose fault ``repro.faults`` planted."""
+        return {d for d in self._where("failed") if self.units[d].injected}
+
+
+def fold(rep: LogReplay, rec: dict) -> None:
+    """Fold one record into ``rep``, in log order.
+
+    A lease puts a unit in flight until a ``done``, ``fail`` or
+    ``requeue`` ends it; a settled unit stays settled, and ``done`` wins
+    over ``fail``.  Records of other types go to ``rep.apply``.
+    """
+    rep.records += 1
+    u = rec.get("unix")
+    if isinstance(u, (int, float)):
+        if rep.first_unix is None:
+            rep.first_unix = u
+        rep.last_unix = u if rep.last_unix is None else max(rep.last_unix, u)
+    t = rec.get("t")
+    if t in ("lease", "start"):
+        token = rec.get("token")
+        if token is not None:
+            rep.next_token = max(rep.next_token, int(token) + 1)
+        st = rep.unit(rec["d"])
+        if rec.get("label"):
+            st.label = rec["label"]
+        if st.state in ("done", "failed"):
+            return
+        st.state, st.token, st.leased_unix = "leased", token, u
+        st.attempts = max(st.attempts, int(rec.get("attempt", 1)))
+    elif t == "done":
+        st = rep.unit(rec["d"])
+        st.state, st.token, st.source = "done", None, rec.get("source", "run")
+        st.kind, st.injected = "", False
+    elif t == "fail":
+        st = rep.unit(rec["d"])
+        if st.state == "done":
+            return  # its result is durable: the failure changes nothing
+        st.state, st.token = "failed", None
+        st.kind = rec.get("kind", "ERROR")
+        st.injected = bool(rec.get("injected"))
+        st.attempts = max(st.attempts, int(rec.get("attempts", 1)))
+    elif t == "requeue":
+        st = rep.units.get(rec["d"])
+        if st is not None and st.state == "leased":
+            st.state, st.token = "queued", None
+    elif t == "hb":
+        rep.last_heartbeat = rec
+    elif t == "state":
+        rep.state = rec.get("state", rep.state)
+    else:
+        rep.apply(rec)
+
+
+def fold_file(rep: LogReplay, path) -> LogReplay:
+    """Fold a whole log file into ``rep``; ``OSError`` if unreadable."""
+    records, rep.torn_lines = durable.replay(path)
+    for rec in records:
+        fold(rep, rec)
+    return rep
+
+
+# -- the run journal --------------------------------------------------------
+@dataclasses.dataclass
+class JournalReplay(LogReplay):
+    """What a run journal says happened, classified for resume.
+
+    ``state`` is one of RUN_STATES, or "running" when the journal ends
+    without a state record (the process was killed outright).
+    """
+
+    run_id: str = ""
+    command: str = ""
+    #: run id this journal itself resumed from, when chained
+    resumed_from: Optional[str] = None
+
+    def apply(self, rec: dict) -> None:
+        if rec.get("t") == "run":
+            self.run_id = rec.get("run_id", self.run_id)
+            self.command = rec.get("command", "")
+            self.resumed_from = rec.get("resumed_from")
+            self.state = "running"
+        # "plan" is the status tracker's; "demote" (older engines) is history
 
     @property
     def resumable(self) -> bool:
@@ -111,19 +351,17 @@ class JournalReplay:
         }
 
 
-class RunJournal:
-    """One sweep run's journal: record schema over a durable log."""
+class RunJournal(UnitLog):
+    """One sweep run's journal: the unit records plus a run header and plan.
+
+    While the sweep runs, :meth:`start_heartbeat` makes the journal its
+    liveness channel too, so :mod:`repro.obs` can tell a live run from a
+    crashed one from outside the process.
+    """
 
     def __init__(self, path, run_id: str):
-        self._log = durable.Log(path, "journal.appends", "journal.append_s")
-        self.path = self._log.path
+        super().__init__(path, "journal")
         self.run_id = run_id
-        self._hb_thread = None  # durable.every() thread
-        self._hb_flush = None
-
-    @property
-    def closed(self) -> bool:
-        return self._log.closed
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -159,71 +397,13 @@ class RunJournal:
     def record_plan(self, units: int, todo: int) -> None:
         self.append({"t": "plan", "units": units, "todo": todo, "unix": time.time()})
 
-    def record_start(self, digest: str, label: str, attempt: int = 1) -> None:
-        self.append(
-            {"t": "start", "d": digest, "label": label, "attempt": attempt,
-             "unix": time.time()}
-        )
-
-    def record_done(self, digest: str, source: str = "run") -> None:
-        self.append({"t": "done", "d": digest, "source": source, "unix": time.time()})
-
-    def record_fail(self, digest: str, kind: str, injected: bool = False) -> None:
-        self.append(
-            {"t": "fail", "d": digest, "kind": kind, "injected": injected,
-             "unix": time.time()}
-        )
-
-    def record_heartbeat(self, interval: float, **progress) -> None:
-        """One liveness beat: pid + interval + whatever progress counters."""
-        self.append(
-            {"t": "hb", "unix": time.time(), "pid": os.getpid(),
-             "interval": float(interval), **progress}
-        )
-        metrics.counter("journal.heartbeats").inc()
-
-    # -- heartbeat thread --------------------------------------------------
-    def start_heartbeat(
-        self, interval: float, stats_fn=None, flush_fn=None
-    ) -> bool:
-        """Beat every ``interval`` seconds until :meth:`close` (daemon).
-
-        ``stats_fn`` (when given) supplies the progress counters each
-        beat carries; ``flush_fn`` runs after every beat — the engine
-        uses it to flush its metrics snapshot so an out-of-process
-        scraper always sees data at most one beat old.  Idempotent:
-        only the first call starts a thread.
-        """
-        if interval <= 0 or self._hb_thread is not None or self.closed:
-            return False
-        self._hb_flush = flush_fn
-
-        def beat() -> None:
-            self.record_heartbeat(
-                interval, **(stats_fn() if stats_fn is not None else {})
-            )
-            if flush_fn is not None:
-                flush_fn()
-
-        self._hb_thread = durable.every(interval, beat)
-        return True
-
     def close(self, state: str = "complete") -> None:
         """Write the terminal ``state`` record and close the file."""
         if self.closed:
             return
-        if self._hb_thread is not None:
-            self._hb_thread.stop()
-            self._hb_thread = None
         if state not in RUN_STATES:
             raise ValueError(f"unknown run state {state!r}; one of {RUN_STATES}")
-        if self._hb_flush is not None:
-            try:
-                self._hb_flush()  # final snapshot covers the whole run
-            except Exception:
-                pass
-        self.append({"t": "state", "state": state, "unix": time.time()})
-        self._log.close()
+        super().close(state)
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -235,45 +415,6 @@ class RunJournal:
             )
 
 
-# -- replay ---------------------------------------------------------------
-def fold(rep: JournalReplay, rec: dict) -> None:
-    """Fold one journal record into ``rep``, in journal order.
-
-    A unit is in flight from its ``start`` until a ``done`` or ``fail``
-    settles it; a settled unit never becomes in-flight again, and a
-    ``done`` overrides an earlier ``fail``.  Record types this reducer
-    does not know (``plan``, ``hb``) are left to the caller.
-    """
-    t = rec.get("t")
-    if t == "run":
-        rep.run_id = rec.get("run_id", rep.run_id)
-        rep.command = rec.get("command", "")
-        rep.resumed_from = rec.get("resumed_from")
-        rep.state = "running"
-    elif t == "start":
-        d = rec["d"]
-        if rec.get("label"):
-            rep.labels[d] = rec["label"]
-        if d not in rep.completed and d not in rep.failed:
-            rep.in_flight.add(d)
-    elif t == "done":
-        d = rec["d"]
-        rep.completed.add(d)
-        rep.failed.pop(d, None)
-        rep.injected.discard(d)
-        rep.in_flight.discard(d)
-    elif t == "fail":
-        d = rec["d"]
-        rep.failed[d] = rec.get("kind", "ERROR")
-        if rec.get("injected"):
-            rep.injected.add(d)
-        else:
-            rep.injected.discard(d)
-        rep.in_flight.discard(d)
-    elif t == "state":
-        rep.state = rec.get("state", rep.state)
-
-
 def load(path) -> JournalReplay:
     """Replay one journal file into a :class:`JournalReplay`.
 
@@ -281,14 +422,10 @@ def load(path) -> JournalReplay:
     counted, never fatal.
     """
     path = Path(path)
-    rep = JournalReplay(run_id=path.stem, path=path)
     try:
-        records, rep.torn_lines = durable.replay(path)
+        return fold_file(JournalReplay(run_id=path.stem, path=path), path)
     except OSError as e:
         raise FileNotFoundError(f"no journal at {path}: {e}") from e
-    for rec in records:
-        fold(rep, rec)
-    return rep
 
 
 def resolve(root, run_id: str) -> Path:

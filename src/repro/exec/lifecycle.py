@@ -74,7 +74,7 @@ class GracefulShutdown:
     let in-flight units finish inside the grace period, fall through to
     normal end-of-run reporting with ``interrupted=True``.  Second
     signal: restore the previous handler and raise ``KeyboardInterrupt``
-    so the process stops hard (the journal's ``start`` records make even
+    so the process stops hard (the journal's ``lease`` records make even
     that crash resumable).
     """
 

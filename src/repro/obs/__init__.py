@@ -1,13 +1,17 @@
 """repro.obs — out-of-process observability for sweep runs.
 
 The engine durably writes three artifact streams as it runs: the
-per-run journal WAL (with periodic heartbeat records), the per-run
-metrics snapshot the heartbeat thread flushes, and — on request — the
-merged chrome trace.  ``repro.obs`` is the read side: a CLI
-(``python -m repro.obs``) that turns those artifacts into live status,
-fleet overviews, Prometheus-scrapable metrics, and wall-clock
-attribution *without any cooperation from the sweep process*, so it
-works equally against a running, hung, crashed, or finished run.
+per-run journal (with periodic heartbeat records), the per-run metrics
+snapshot the heartbeat thread flushes, and — on request — the merged
+chrome trace.  The daemon's queue WAL is the same unit-lifecycle log
+as the journal, read through the same fold
+(:func:`repro.exec.journal.fold`) and judged live or dead by the same
+rule (:func:`~repro.obs.registry.liveness`).  ``repro.obs`` is the read
+side: a CLI (``python -m repro.obs``) that turns those artifacts into
+live status, fleet overviews, Prometheus-scrapable metrics, and
+wall-clock attribution *without any cooperation from the sweep
+process*, so it works equally against a running, hung, crashed, or
+finished run.
 
 Subcommands (see :mod:`repro.obs.__main__`):
 
@@ -18,6 +22,7 @@ Subcommands (see :mod:`repro.obs.__main__`):
   ``--once`` emits one byte-deterministic snapshot instead;
 * ``metrics`` — the run's metrics snapshot as an OpenMetrics
   textfile (``--check`` lints it);
+* ``serve`` — the daemon's status, live or a WAL post-mortem;
 * ``critpath`` — per-phase wall attribution of a merged trace.
 """
 from __future__ import annotations

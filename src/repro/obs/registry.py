@@ -1,8 +1,9 @@
 """Run registry: discover journals, derive live status out-of-process.
 
-Everything here reads artifacts the engine already durably writes — the
-per-run journal WAL (:mod:`repro.exec.journal`) and the heartbeat
-records inside it — without any cooperation from the sweep process.
+Everything here reads artifacts the front ends already durably write —
+the unit-lifecycle logs (:mod:`repro.exec.journal`: per-run journals
+and the daemon's queue WAL) and the heartbeat records inside them —
+without any cooperation from the writing process.
 That is the design constraint that makes ``repro.obs`` usable against a
 run that is hung, crashed, or merely busy: observation is a pure read.
 
@@ -16,16 +17,16 @@ Two layers:
   line that still fails to parse is counted and skipped.
 * :class:`RunTracker` — folds journal records into a
   :class:`RunStatus`.  Completed, failed and in-flight units come from
-  the resume path's own reducer (:func:`repro.exec.journal.fold`); the
-  tracker adds only what status needs on top: plan counts, progress %,
-  throughput and ETA from completed-unit durations, and
-  heartbeat-derived liveness.
+  the one unit fold (:func:`repro.exec.journal.fold`); the tracker adds
+  only what status needs on top: plan counts, progress %, throughput
+  and ETA from completed-unit durations, and liveness.
 
-Liveness semantics: a ``running`` journal whose last heartbeat is older
-than :data:`STALE_BEATS` intervals is presumed dead — its in-flight
-units are reported as *stale* (orphans a ``--resume`` would re-run),
-which is exactly the live-vs-crashed distinction the heartbeat records
-exist to answer.
+Liveness (:func:`liveness`, one rule for runs and the daemon): a log
+whose writer has not closed it is presumed dead once its last heartbeat
+is older than :data:`STALE_BEATS` intervals, or, before the first beat,
+once its last record is older than :data:`STALE_BEATS` default
+intervals.  A dead run's in-flight units are reported as *stale*
+(orphans a ``--resume`` would re-run).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Optional
 
 from ..durable import DEFAULT_HEARTBEAT_S
 from ..durable import Follower as JournalFollower
-from ..exec.journal import JournalReplay, fold, journal_dir
+from ..exec.journal import JournalReplay, LogReplay, fold, journal_dir
 
 __all__ = [
     "STALE_BEATS",
@@ -45,11 +46,32 @@ __all__ = [
     "RunStatus",
     "runs",
     "find_run",
+    "liveness",
     "serve_status",
 ]
 
-#: heartbeats a running journal may miss before it counts as dead
+#: heartbeats a running log may miss before its writer counts as dead
 STALE_BEATS = 3
+
+
+def liveness(rep: LogReplay, now: float):
+    """``(live, heartbeat_age)`` of a log's writer as of ``now``.
+
+    ``live`` is None for a log its writer closed with a terminal state,
+    or one with no timestamped record; ``heartbeat_age`` is None until
+    the first beat, when the age of the last record stands in for it
+    (old journals, and writers killed before their first beat).
+    """
+    if rep.state not in ("running", "planned"):
+        return None, None
+    hb = rep.last_heartbeat
+    if hb is not None and isinstance(hb.get("unix"), (int, float)):
+        age = max(0.0, now - hb["unix"])
+        interval = float(hb.get("interval") or DEFAULT_HEARTBEAT_S)
+        return age <= STALE_BEATS * interval, age
+    if rep.last_unix is None:
+        return None, None
+    return (now - rep.last_unix) <= STALE_BEATS * DEFAULT_HEARTBEAT_S, None
 
 
 @dataclasses.dataclass
@@ -109,17 +131,16 @@ class RunTracker:
         self.pid: Optional[int] = None
         self.planned = 0
         self.todo = 0
-        self.records = 0
-        self.first_unix: Optional[float] = None
-        self.last_unix: Optional[float] = None
-        self.last_heartbeat: Optional[dict] = None
-        self._start_unix: dict = {}  # digest -> unix of its latest start
         self._durations: list = []
         self._done_unix: list = []
 
     @property
     def run_id(self) -> str:
         return self.replay.run_id
+
+    @property
+    def last_unix(self) -> Optional[float]:
+        return self.replay.last_unix
 
     # -- folding -----------------------------------------------------------
     def poll(self) -> "RunTracker":
@@ -129,46 +150,22 @@ class RunTracker:
         return self
 
     def _apply(self, rec: dict) -> None:
-        self.records += 1
         fold(self.replay, rec)
         t = rec.get("t")
         u = rec.get("unix")
-        if isinstance(u, (int, float)):
-            self.first_unix = u if self.first_unix is None else self.first_unix
-            self.last_unix = u if self.last_unix is None else max(self.last_unix, u)
         if t == "run":
             self.pid = rec.get("pid")
         elif t == "plan":
             # a resumed run re-plans; the latest plan is the live one
             self.planned = int(rec.get("units", 0))
             self.todo = int(rec.get("todo", 0))
-        elif t == "start":
-            self._start_unix[rec["d"]] = u
-        elif t == "done":
-            started = self._start_unix.get(rec["d"])
-            if started is not None and u is not None:
+        elif t == "done" and u is not None:
+            started = self.replay.units[rec["d"]].leased_unix
+            if started is not None:
                 self._durations.append(max(0.0, u - started))
-            if u is not None:
-                self._done_unix.append(u)
-        elif t == "hb":
-            self.last_heartbeat = rec
+            self._done_unix.append(u)
 
     # -- derivation --------------------------------------------------------
-    def _liveness(self, now: float):
-        """(live, heartbeat_age).  None = terminal state or unknowable."""
-        if self.replay.state not in ("running", "planned"):
-            return None, None
-        hb = self.last_heartbeat
-        if hb is not None and isinstance(hb.get("unix"), (int, float)):
-            age = max(0.0, now - hb["unix"])
-            interval = float(hb.get("interval") or DEFAULT_HEARTBEAT_S)
-            return age <= STALE_BEATS * interval, age
-        # no heartbeat yet: fall back to the age of the last record —
-        # old journals (schema 1) and runs killed before the first beat
-        if self.last_unix is None:
-            return None, None
-        return (now - self.last_unix) <= STALE_BEATS * DEFAULT_HEARTBEAT_S, None
-
     def status(self, now: Optional[float] = None) -> RunStatus:
         """Derive the :class:`RunStatus` as of ``now``.
 
@@ -186,22 +183,22 @@ class RunTracker:
         if self.planned:
             progress = 100.0 * (cached + done + failed) / self.planned
         throughput = None
-        if self._done_unix and self.first_unix is not None:
-            span = max(self._done_unix) - self.first_unix
+        if self._done_unix and rep.first_unix is not None:
+            span = max(self._done_unix) - rep.first_unix
             if span > 0:
                 throughput = len(self._done_unix) / span
         eta = None
         remaining = queued + in_flight
         if rep.state in ("running", "planned") and remaining and self._durations:
             eta = (sum(self._durations) / len(self._durations)) * remaining
-        live, hb_age = self._liveness(now)
+        live, hb_age = liveness(rep, now)
         stale = []
         if live is False:
-            stale = sorted(rep.labels.get(d, "") for d in rep.in_flight)
+            stale = sorted(rep.units[d].label for d in rep.in_flight)
         kinds: dict = {}
         for kind in rep.failed.values():
             kinds[kind] = kinds.get(kind, 0) + 1
-        hb = self.last_heartbeat or {}
+        hb = rep.last_heartbeat or {}
         return RunStatus(
             run_id=rep.run_id,
             command=rep.command,
@@ -223,9 +220,9 @@ class RunTracker:
             resumed_from=rep.resumed_from,
             heartbeat_age_s=hb_age,
             heartbeat_interval_s=hb.get("interval"),
-            started_unix=self.first_unix,
-            updated_unix=self.last_unix,
-            records=self.records,
+            started_unix=rep.first_unix,
+            updated_unix=rep.last_unix,
+            records=rep.records,
             torn_lines=self.follower.torn_lines,
         )
 
@@ -266,14 +263,16 @@ def find_run(cache_dir, token: Optional[str]) -> RunTracker:
     return RunTracker(path).poll()
 
 
-def serve_status(cache_dir) -> dict:
+def serve_status(cache_dir, now: Optional[float] = None) -> dict:
     """The sweep daemon's status document: live, or a WAL post-mortem.
 
     A live daemon's own ``/status``; for a dead one, the queue WAL's
-    replay summary plus its record counts and a ``staleness`` verdict
-    from the last heartbeat under the :data:`STALE_BEATS` rule.  The
-    ``live`` key says which.  ``repro.obs serve`` and ``repro.serve
-    status`` both print this document.
+    replay summary plus its record counts and, for a boot that wrote
+    no terminal state, a ``staleness`` verdict under :func:`liveness`
+    as of ``now`` (default: the wall clock; pinning it makes the
+    post-mortem depend only on WAL bytes).  The ``live`` key says
+    which.  ``repro.obs serve`` and ``repro.serve status`` both print
+    this document.
     """
     from ..serve.client import discover
     from ..serve.wal import replay, wal_path
@@ -286,10 +285,9 @@ def serve_status(cache_dir) -> dict:
         "live": False, **rep.summary(),
         "wal": str(wal_path(cache_dir)), "records": rep.records,
     }
-    hb = rep.last_heartbeat
-    if hb and isinstance(hb.get("unix"), (int, float)):
-        interval = float(hb.get("interval") or DEFAULT_HEARTBEAT_S)
-        age = time.time() - hb["unix"]
+    live, age = liveness(rep, time.time() if now is None else float(now))
+    if age is not None:
         doc["last_heartbeat_age_s"] = round(age, 3)
-        doc["staleness"] = "stale" if age > STALE_BEATS * interval else "recent"
+    if live is not None:
+        doc["staleness"] = "recent" if live else "stale"
     return doc

@@ -126,8 +126,8 @@ def render_serve(doc: dict) -> str:
     ``live`` key selects between the daemon's own ``/status`` and the
     WAL-replay summary of one that is gone: its terminal state if it
     drained (``stopped``, or ``interrupted`` with work left), else
-    ``dead`` with the ``staleness`` verdict of its last heartbeat under
-    the same 3x-interval rule run liveness uses.
+    ``dead`` with the ``staleness`` verdict of the liveness rule runs
+    share (:func:`~repro.obs.registry.liveness`).
     """
     if doc.get("live"):
         u = doc.get("units", {})

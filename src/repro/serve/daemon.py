@@ -30,9 +30,9 @@ needs it, that holds at most one lease at a time and reports each
 outcome on a pipe (a crashed worker takes down nothing but its own
 lease, and the thread forks a replacement for its next one).  The
 daemon supplies the core's callbacks — lease the next unit, journal the
-outcome — and one housekeeping thread heartbeats the WAL, flushes
-metrics snapshots, and drains the daemon should a callback fail (the
-core's :attr:`~repro.exec.dispatch.Dispatcher.error`).  The core's
+outcome — and the WAL's heartbeat thread beats, flushes metrics
+snapshots, and drains the daemon should a callback fail (the core's
+:attr:`~repro.exec.dispatch.Dispatcher.error`).  The core's
 :class:`~repro.exec.dispatch.UnitQueue` holds the queue under the
 daemon's one condition variable, which guards all of its state; no
 worker process is ever awaited while the lock is held.
@@ -52,14 +52,8 @@ from ..exec.cache import (
     canonical_results_json,
     result_from_json,
 )
-from ..exec.dispatch import (
-    EXIT_OK,
-    EXIT_TRANSIENT,
-    POLL_S,
-    Dispatcher,
-    Job,
-    UnitQueue,
-)
+from ..exec.dispatch import EXIT_OK, POLL_S, Dispatcher, Job, UnitQueue
+from ..exec.journal import UNIT_STATES
 from ..exec.unit import unit_digest, unit_from_dict, unit_to_dict
 from ..telemetry import log, metrics
 from .admission import (
@@ -70,9 +64,7 @@ from .admission import (
     BreakerBoard,
     TenantQuota,
 )
-from .wal import UNIT_STATES, QueueWAL, TicketEntry, UnitEntry
-from .wal import replay as wal_replay
-from .wal import wal_path
+from .wal import QueueWAL, TicketEntry, UnitEntry, wal_path
 
 __all__ = ["SweepDaemon", "SubmitOutcome"]
 
@@ -126,15 +118,15 @@ class SweepDaemon:
 
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._units: dict = {}  # digest -> UnitEntry
-        self._tickets: dict = {}  # ticket id -> TicketEntry
+        #: the WAL's live fold (see start()): digest -> UnitEntry, and
+        #: ticket id -> TicketEntry
+        self._units: dict = {}
+        self._tickets: dict = {}
         #: queued and leased units, under the daemon's own condition
         self._queue = UnitQueue(
             retries, backoff, name="serve", cond=self._work,
         )
         self._closed = False  # set by stop(): no lease outcome
-        #: the next lease token: above every token the WAL has seen
-        self._next_token = 1
         self._rejects: dict = {}  # tenant -> count
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -149,30 +141,26 @@ class SweepDaemon:
         self.started_unix: Optional[float] = None
         self.reclaimed_on_boot = 0
         self.wal: Optional[QueueWAL] = None
-        self._housekeeper = None  # durable.every() thread
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "SweepDaemon":
         """Replay the WAL, reclaim orphaned leases, start the threads."""
-        rep = wal_replay(wal_path(self.cache_dir))
-        self.epoch = rep.epoch + 1
-        self._units = rep.units
-        self._tickets = rep.tickets
-        self._next_token = rep.next_token
         self.wal = QueueWAL(wal_path(self.cache_dir))
+        rep = self.wal.replay
+        self._units, self._tickets = rep.units, rep.tickets
+        self.epoch = rep.epoch + 1
         self.wal.record_boot(self.epoch, self.jobs)
         self.started_unix = time.time()
         # every lease open at the previous daemon's death died with its
         # dispatcher thread: requeue the unit, journal the reclaim — the
         # old worker's result, if it still lands in the cache, is
         # idempotent and byte-identical
+        for d, token in rep.open_leases.items():
+            self.wal.record_requeue(d, "daemon-restart", token)
+            self.reclaimed_on_boot += 1
+            metrics.counter("serve.reclaims").inc()
         for d in rep.queued_digests():
             entry = self._units[d]
-            if entry.state == "leased":
-                entry.state = "queued"
-                self.wal.record_requeue(d, rep.open_leases[d], "daemon-restart")
-                self.reclaimed_on_boot += 1
-                metrics.counter("serve.reclaims").inc()
             self._queue.push(d, entry.unit, entry.label, entry.attempts)
         if self.reclaimed_on_boot:
             log.warn(
@@ -182,9 +170,7 @@ class SweepDaemon:
             )
         self.cache.purge_tmp()
         self._core.start()
-        self._housekeeper = durable.every(
-            self.hb_interval, self._housekeep, name="serve-housekeeping"
-        )
+        self.wal.start_heartbeat(self.hb_interval, self._counts, self._housekeep)
         log.info(
             "serve.boot",
             f"daemon up: epoch {self.epoch}, {self.jobs} dispatchers, "
@@ -221,7 +207,7 @@ class SweepDaemon:
         with self._work:
             self._stop.set()
             self._work.notify_all()
-        self._housekeeper.stop()
+        self.wal.stop_heartbeat()
         deadline = time.monotonic() + max(0.0, float(grace))
         self._core.join(deadline)
         # grace exhausted: the stragglers' leases are requeued so the next
@@ -230,15 +216,13 @@ class SweepDaemon:
         with self._work:
             self._closed = True
             for job in list(self._queue.running.values()):
-                self._units[job.digest].state = "queued"
-                self.wal.record_requeue(job.digest, job.token, "drain-killed")
+                self.wal.record_requeue(job.digest, "drain-killed", job.token)
                 metrics.counter("serve.reclaims").inc()
                 self._queue.put_back(job)
-            counts = self._counts_locked()
+            counts = self._counts()
             remaining = counts["queued"] + counts["leased"]
             state = "stopped" if remaining == 0 else "interrupted"
-            self.wal.record_state(state)
-            self.wal.close()
+            self.wal.close(state)
         self._core.join(time.monotonic() + 5.0)
         self._core.shutdown(deadline)
         unexpected = sum(
@@ -344,35 +328,20 @@ class SweepDaemon:
                     f"{queued_now} queued + {new_queued} new > "
                     f"bound {self.queue_bound}",
                 )
-            # admitted: journal first, then mutate queue state
+            # admitted: the WAL's fold records the ticket and its units
             ticket = "t-" + os.urandom(6).hex()
-            tk = TicketEntry(
-                ticket=ticket, tenant=tenant, digests=list(uniq),
-                submitted_unix=time.time(),
-            )
-            self._tickets[ticket] = tk
             deduped = cached = 0
             for dg, u in uniq.items():
+                known = dg in self._units
                 unit_dict = unit_to_dict(u)
                 self.wal.record_submit(ticket, tenant, dg, u.label(), unit_dict)
-                entry = self._units.get(dg)
-                if entry is not None:
+                if known:
                     deduped += 1
-                    entry.tenants.add(tenant)
-                    entry.tickets.add(ticket)
-                    continue
-                entry = self._units[dg] = UnitEntry(
-                    digest=dg, label=u.label(), unit=unit_dict, owner=tenant,
-                    tenants={tenant}, tickets={ticket},
-                )
-                if dg in self.cache:
-                    entry.state = "done"
-                    entry.source = "cache"
-                    self.wal.record_done(dg, None, "cache")
+                elif dg in self.cache:
+                    self.wal.record_done(dg, "cache")
                     cached += 1
                     metrics.counter("serve.done.cache").inc()
                 else:
-                    entry.state = "queued"
                     self._queue.push(dg, unit_dict, u.label())
             metrics.counter("serve.submits").inc()
             metrics.counter("serve.units.submitted").inc(len(uniq))
@@ -403,22 +372,15 @@ class SweepDaemon:
                 job = self._queue.take(self._stopping, self._has_slot)
                 if job is None:
                     return None
-                d = job.digest
-                entry = self._units[d]
-                payload = self.cache.get(d)
+                payload = self.cache.get(job.digest)
                 if payload is not None:
                     # dedup against work finished since this was queued
                     self._queue.settle(job, EXIT_OK, {"ok": payload})
-                    entry.state = "done"
-                    entry.source = "cache"
-                    self.wal.record_done(d, None, "cache")
+                    self.wal.record_done(job.digest, "cache")
                     metrics.counter("serve.done.cache").inc()
                     continue
-                entry.attempts = job.attempt
-                entry.state = "leased"
-                job.token = self._next_token
-                self._next_token += 1
-                self.wal.record_lease(d, job.token, job.attempt)
+                job.token = self.wal.replay.next_token
+                self.wal.record_lease(job.digest, job.label, job.attempt, job.token)
                 metrics.counter("serve.leases").inc()
                 return job
 
@@ -431,32 +393,16 @@ class SweepDaemon:
         failed fork costs an attempt: with no in-process fallback, a
         daemon that cannot fork would spin.
         """
-        d, token = job.digest, job.token
         with self._work:
             if self._closed:
                 return  # stop() already requeued and journaled the lease
             verdict = self._queue.settle(job, code, reply)
-            entry = self._units[d]
+            self.wal.record_settle(job, verdict, reply)
+            entry = self._units[job.digest]
             if verdict == "done":
-                entry.state = "done"
-                entry.source = "run"
-                self.wal.record_done(d, token, "run")
                 metrics.counter("serve.done.run").inc()
                 self._record_breaker(entry, success=True)
-            elif verdict == "retry":
-                entry.state = "queued"
-                self.wal.record_requeue(d, token, (
-                    "transient" if code == EXIT_TRANSIENT
-                    else reply["err"]["message"]
-                ))
-            else:
-                err = reply["err"]
-                entry.state = "failed"
-                entry.kind = err["kind"]
-                entry.injected = bool(err["injected"])
-                self.wal.record_fail(
-                    d, token, entry.kind, entry.injected, entry.attempts
-                )
+            elif verdict == "fail":
                 metrics.counter("serve.failed").inc()
                 if entry.injected:
                     metrics.counter("serve.failed.injected").inc()
@@ -487,15 +433,9 @@ class SweepDaemon:
 
     # -- housekeeping ------------------------------------------------------
     def _housekeep(self) -> None:
+        """After each WAL beat: drain a failed core, flush the metrics."""
         if self._core.error is not None:
             self.drain()  # nothing dispatches any more: stop admitting
-        self._heartbeat()
-
-    def _heartbeat(self) -> None:
-        with self._lock:
-            counts = self._counts_locked()
-        self.wal.record_heartbeat(self.hb_interval, **counts)
-        metrics.counter("serve.heartbeats").inc()
         try:
             metrics.write_snapshot_file(self.cache_dir, "serve")
         except OSError:
@@ -507,16 +447,17 @@ class SweepDaemon:
         e = self._core.error
         return None if e is None else f"{type(e).__name__}: {e}"
 
-    def _counts_locked(self) -> dict:
-        counts = dict.fromkeys(UNIT_STATES, 0)
-        for u in self._units.values():
-            counts[u.state] += 1
-        return counts
+    def _counts(self) -> dict:
+        with self._lock:
+            counts = dict.fromkeys(UNIT_STATES, 0)
+            for u in self._units.values():
+                counts[u.state] += 1
+            return counts
 
     def status(self) -> dict:
         """The ``/status`` document: queue, tenants, leases, breakers."""
         with self._lock:
-            counts = self._counts_locked()
+            counts = self._counts()
             tenants: dict = collections.defaultdict(
                 lambda: dict.fromkeys((*UNIT_STATES, "rejected"), 0)
             )
@@ -574,8 +515,7 @@ class SweepDaemon:
             }
 
     def healthz(self) -> dict:
-        with self._lock:
-            counts = self._counts_locked()
+        counts = self._counts()
         error = self._error()
         return {
             "ok": error is None,

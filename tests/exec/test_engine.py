@@ -177,10 +177,14 @@ def test_pool_failure_falls_back_to_sequential(monkeypatch, capsys, tmp_path):
     assert ex.run_unit(UNITS[0]).cached
     records, _ = durable.replay(j.path)
     mine = [r for r in records if r.get("d") == ex.digest_of(flaky)]
-    starts = [r["attempt"] for r in mine if r["t"] == "start"]
-    # the failed fork's start, then the in-process attempts from 1
-    assert starts == [1, 1, 2]
-    assert mine[-1]["t"] == "done"
+    leases = [r["attempt"] for r in mine if r["t"] == "lease"]
+    # the failed fork's lease, then the in-process attempts from 1; the
+    # transient attempt is requeued, so the retry reads as queued
+    assert leases == [1, 1, 2]
+    assert [r["t"] for r in mine] == [
+        "lease", "lease", "requeue", "lease", "done",
+    ]
+    assert mine[2]["reason"] == "transient"
 
 
 def test_run_benchmark_routes_through_active_executor():

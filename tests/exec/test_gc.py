@@ -17,9 +17,9 @@ from repro.exec.journal import RunJournal
 def make_journal(tmp_path, run_id, state=None):
     j = RunJournal.create(tmp_path, run_id, command="repro.test")
     j.record_plan(2, 2)
-    j.record_start("aaa", "MD/cuda")
+    j.record_lease("aaa", "MD/cuda", 1)
     j.record_done("aaa")
-    j.record_start("bbb", "FFT/cuda")
+    j.record_lease("bbb", "FFT/cuda", 1)
     j.record_heartbeat(5.0, done=1, failed=0)
     if state is not None:
         j.record_done("bbb")
@@ -31,7 +31,7 @@ class TestJournalCompaction:
     def test_terminal_journal_drops_start_and_hb(self, tmp_path):
         j = make_journal(tmp_path, "fin", state="complete")
         before = [json.loads(x) for x in j.path.read_text().splitlines()]
-        assert {"start", "hb"} <= {r["t"] for r in before}
+        assert {"lease", "hb"} <= {r["t"] for r in before}
         report = gc_run(tmp_path)
         assert report["journals_compacted"] == 1
         assert report["journal_bytes"] > 0
@@ -59,13 +59,20 @@ class TestJournalCompaction:
 
     def test_interrupted_journal_compacts_but_stays_resumable(self, tmp_path):
         j = RunJournal.create(tmp_path, "intr", command="repro.test")
-        j.record_start("aaa", "MD/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
         j.record_done("aaa")
+        # bbb is stranded by the drain; ccc was waiting out a retry
+        j.record_lease("bbb", "FFT/cuda", 1)
+        j.record_lease("ccc", "BFS/cuda", 1)
+        j.record_requeue("ccc", "transient")
         j.close("interrupted")
-        gc_run(tmp_path)
+        before = jmod.load(j.path)
+        assert gc_run(tmp_path)["journals_compacted"] == 1
         rep = jmod.load(j.path)
         assert rep.state == "interrupted" and rep.resumable
         assert rep.completed == {"aaa"}
+        assert rep.in_flight == before.in_flight == {"bbb"}
+        assert rep.summary() == before.summary()
 
     def test_already_compact_journal_is_a_noop(self, tmp_path):
         j = make_journal(tmp_path, "fin", state="complete")

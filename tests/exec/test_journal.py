@@ -33,12 +33,12 @@ class TestAppend:
 
     def test_every_append_is_one_durable_line(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-1")
-        j.record_start("d" * 40, "MD/cuda", attempt=1)
+        j.record_lease("d" * 40, "MD/cuda", attempt=1)
         j.record_done("d" * 40)
         # the file is readable mid-run, without any close/flush help:
         # that is the whole point of a WAL
         recs = lines_of(j.path)
-        assert [r["t"] for r in recs] == ["run", "start", "done"]
+        assert [r["t"] for r in recs] == ["run", "lease", "done"]
 
     def test_close_writes_state_and_is_idempotent(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-1")
@@ -68,11 +68,11 @@ class TestReplay:
     def _journal(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-1", command="repro.benchsuite")
         j.record_plan(4, 3)
-        j.record_start("aaa", "MD/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
         j.record_done("aaa")
-        j.record_start("bbb", "FFT/cuda")
+        j.record_lease("bbb", "FFT/cuda", 1)
         j.record_fail("bbb", "CRASH", injected=True)
-        j.record_start("ccc", "Sobel/opencl")
+        j.record_lease("ccc", "Sobel/opencl", 1)
         # ccc: started, never finished — the process dies here
         return j
 
@@ -84,7 +84,7 @@ class TestReplay:
         assert rep.completed == {"aaa"}
         assert rep.failed == {"bbb": "CRASH"}
         assert rep.in_flight == {"ccc"}
-        assert rep.labels["ccc"] == "Sobel/opencl"
+        assert rep.units["ccc"].label == "Sobel/opencl"
         assert rep.state == "running"  # killed outright: no state record
         assert rep.resumable
         assert rep.torn_lines == 0
@@ -92,9 +92,9 @@ class TestReplay:
     def test_done_after_fail_wins(self, tmp_path):
         # a retry that succeeds after a recorded failure ends completed
         j = RunJournal.create(tmp_path, "run-1")
-        j.record_start("aaa", "MD/cuda", attempt=1)
+        j.record_lease("aaa", "MD/cuda", attempt=1)
         j.record_fail("aaa", "TRANSIENT")
-        j.record_start("aaa", "MD/cuda", attempt=2)
+        j.record_lease("aaa", "MD/cuda", attempt=2)
         j.record_done("aaa")
         rep = jmod.load(j.path)
         assert rep.completed == {"aaa"}
@@ -106,12 +106,12 @@ class TestReplay:
         from repro.obs import RunTracker
 
         j = RunJournal.create(tmp_path, "run-1")
-        j.record_start("aaa", "MD/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
         j.record_done("aaa")
-        j.record_start("aaa", "MD/cuda")
-        j.record_start("bbb", "FFT/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
+        j.record_lease("bbb", "FFT/cuda", 1)
         j.record_fail("bbb", "CRASH", injected=True)
-        j.record_start("bbb", "FFT/cuda")
+        j.record_lease("bbb", "FFT/cuda", 1)
         rep = jmod.load(j.path)
         assert rep.in_flight == set() and rep.injected == {"bbb"}
         s = RunTracker(j.path).poll().status()
@@ -178,7 +178,7 @@ class TestHeartbeat:
 
     def test_replay_ignores_heartbeats(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-1")
-        j.record_start("aaa", "MD/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
         j.record_heartbeat(5.0, done=0, failed=0)
         j.record_done("aaa")
         rep = jmod.load(j.path)
@@ -251,11 +251,11 @@ class TestResumeResolution:
         import os
 
         a = RunJournal.create(tmp_path, "old-run")
-        a.record_start("aaa", "x")
+        a.record_lease("aaa", "x", 1)
         b = RunJournal.create(tmp_path, "done-run")
         b.close("complete")
         c = RunJournal.create(tmp_path, "new-run")
-        c.record_start("bbb", "y")
+        c.record_lease("bbb", "y", 1)
         # force a strict mtime order regardless of filesystem resolution
         os.utime(a.path, (1, 1))
         os.utime(b.path, (3, 3))
@@ -268,14 +268,14 @@ class TestResumeResolution:
 
     def test_open_resume_by_id(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-7")
-        j.record_start("aaa", "x")
+        j.record_lease("aaa", "x", 1)
         j.close("interrupted")
         rep = jmod.open_resume(tmp_path, "run-7")
         assert rep.run_id == "run-7" and rep.in_flight == {"aaa"}
 
     def test_open_resume_auto(self, tmp_path):
         j = RunJournal.create(tmp_path, "run-8")
-        j.record_start("aaa", "x")
+        j.record_lease("aaa", "x", 1)
         j.close("interrupted")
         assert jmod.open_resume(tmp_path, "auto").run_id == "run-8"
 

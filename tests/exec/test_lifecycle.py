@@ -286,7 +286,7 @@ class TestOpenJournal:
         import argparse
 
         first = RunJournal.create(tmp_path, "rid-1")
-        first.record_start("aaa", "x")
+        first.record_lease("aaa", "x", 1)
         first.close("interrupted")
         args = argparse.Namespace(resume="rid-1")
         j, rep = lifecycle.open_journal(args, tmp_path, "rid-2", "repro.test")

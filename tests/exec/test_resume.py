@@ -196,7 +196,7 @@ def test_journal_with_a_demote_record_resumes(tmp_path):
     cache = tmp_path / "cache"
     old = jmod.RunJournal.create(cache, "old-run", command="repro.benchsuite")
     old.record_plan(1, 1)
-    old.record_start(unit_digest(unit), unit.label())
+    old.record_lease(unit_digest(unit), unit.label(), 1)
     old.append({"t": "demote", "incidents": 3,
                 "reason": "worker death broke the pool"})
     old.close("interrupted")

@@ -150,7 +150,7 @@ class TestRunTracker:
     def test_tracker_tolerates_real_journal(self, tmp_path):
         j = RunJournal.create(tmp_path, "real", command="repro.test")
         j.record_plan(2, 2)
-        j.record_start("aaa", "MD/cuda")
+        j.record_lease("aaa", "MD/cuda", 1)
         j.record_done("aaa")
         j.close("interrupted")
         s = RunTracker(j.path).poll().status()

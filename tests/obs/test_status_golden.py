@@ -84,3 +84,73 @@ def test_openmetrics_textfile():
         "metrics.prom", om.render(sample_snapshot(), run_id="demo")
     )
     assert om.lint(om.render(sample_snapshot(), run_id="demo")) == []
+
+
+# -- daemon post-mortems ----------------------------------------------------
+SERVE_UNIT = {"benchmark": "Sobel", "api": "cuda", "device": "GTX480",
+              "size": "small", "options": []}
+
+
+def serve_wal(tmp_path, tail, beat=True):
+    """A daemon's WAL: unit aaa done, unit bbb leased, then ``tail``."""
+    recs = [
+        {"t": "boot", "schema": 1, "epoch": 1, "pid": 4242, "jobs": 2,
+         "unix": 1000.0},
+    ]
+    for i, d in enumerate(("aaa", "bbb")):
+        recs.append({"t": "submit", "ticket": "t-1", "tenant": "alice",
+                     "d": d, "label": f"unit-{d}", "unit": SERVE_UNIT,
+                     "unix": 1001.0 + i})
+    recs += [
+        {"t": "lease", "d": "aaa", "label": "unit-aaa", "attempt": 1,
+         "token": 1, "unix": 1003.0},
+        {"t": "done", "d": "aaa", "source": "run", "token": 1,
+         "unix": 1004.0},
+        {"t": "lease", "d": "bbb", "label": "unit-bbb", "attempt": 1,
+         "token": 2, "unix": 1005.0},
+    ]
+    if beat:
+        recs.append({"t": "hb", "pid": 4242, "interval": 1.0, "queued": 0,
+                     "leased": 1, "done": 1, "failed": 0, "unix": 1006.0})
+    write_lines(tmp_path / "serve" / "queue.jsonl", recs + tail)
+
+
+def check_serve_golden(name, tmp_path, monkeypatch, now):
+    from repro.obs.registry import serve_status
+    from repro.obs.render import render_serve
+
+    monkeypatch.chdir(tmp_path)  # a relative WAL path renders stably
+    check_golden(name, render_serve(serve_status(".", now=now)) + "\n")
+
+
+def test_serve_stopped(tmp_path, monkeypatch):
+    serve_wal(tmp_path, [
+        {"t": "drain", "unix": 1007.0},
+        {"t": "done", "d": "bbb", "source": "run", "token": 2,
+         "unix": 1008.0},
+        {"t": "state", "state": "stopped", "unix": 1009.0},
+    ])
+    check_serve_golden("serve_stopped.txt", tmp_path, monkeypatch, 5000.0)
+
+
+def test_serve_interrupted(tmp_path, monkeypatch):
+    serve_wal(tmp_path, [
+        {"t": "drain", "unix": 1007.0},
+        {"t": "requeue", "d": "bbb", "reason": "drain-killed", "token": 2,
+         "unix": 1008.0},
+        {"t": "state", "state": "interrupted", "unix": 1009.0},
+    ])
+    check_serve_golden("serve_interrupted.txt", tmp_path, monkeypatch, 5000.0)
+
+
+def test_serve_killed_with_stale_heartbeat(tmp_path, monkeypatch):
+    serve_wal(tmp_path, [])
+    check_serve_golden("serve_killed_stale.txt", tmp_path, monkeypatch, 5000.0)
+
+
+def test_serve_killed_before_first_beat(tmp_path, monkeypatch):
+    # no beat to age: the age of the last record takes the verdict
+    serve_wal(tmp_path, [], beat=False)
+    check_serve_golden(
+        "serve_killed_before_beat.txt", tmp_path, monkeypatch, 5000.0
+    )

@@ -5,6 +5,7 @@ worker processes on real (small) units.  The subprocess crash matrix —
 ``kill -9`` of the whole daemon — lives in ``test_crash_restart.py``.
 """
 import json
+import pathlib
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from repro.exec.unit import make_unit, unit_digest, unit_from_dict
 from repro.serve.daemon import SweepDaemon
 from repro.serve.wal import replay, wal_path
 from repro.serve.admission import TenantQuota
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 UNIT = {"benchmark": "Sobel", "api": "cuda", "device": "GTX480",
         "size": "small"}
@@ -303,43 +306,35 @@ class TestChaos:
 
 class TestRestartReclaim:
     def test_boot_requeues_open_leases_from_wal(self, tmp_path):
-        # hand-write the WAL a killed daemon would leave: a submitted
-        # unit whose lease was open (and unresolvable) at death
-        u = make_unit(**UNIT)
-        dg = unit_digest(u)
-        from repro.serve.wal import QueueWAL
-
-        with QueueWAL(wal_path(tmp_path)) as w:
-            w.record_boot(1, 2)
-            w.record_submit("t-dead", "alice", dg, u.label(), {
-                "benchmark": u.benchmark, "api": u.api, "device": u.device,
-                "size": u.size, "options": [],
-            })
-            # records only a daemon that expired and fenced leases wrote
-            w.record_lease(dg, 3, 1)
-            w.record_requeue(dg, 3, "lease-expired")
-            w.append({"t": "fenced", "d": dg, "token": 3, "unix": 0.0})
-            w.record_lease(dg, 5, 2)
+        # the WAL a killed daemon left, in the older daemons' format: one
+        # unit done, one whose lease expired, was fenced and re-leased,
+        # and was still open (and unresolvable) at death
+        path = wal_path(tmp_path)
+        path.parent.mkdir(parents=True)
+        path.write_bytes((FIXTURES / "parent_queue.jsonl").read_bytes())
         old_tokens = [r["token"] for r in wal_records(tmp_path)
                       if "token" in r]
+        old = replay(path)
         d = make_daemon(tmp_path).start()
         try:
             assert d.epoch == 2
             assert d.reclaimed_on_boot == 1
             # the ticket from the dead boot is still tracked and finishes
-            assert d.wait_ticket("t-dead", 300)
-            st = d.ticket_status("t-dead")
-            assert st["units"]["done"] == 1
+            assert d.wait_ticket("t-parent", 300)
+            st = d.ticket_status("t-parent")
+            assert st["units"]["done"] == 2
             # the replacement lease's token is above every old one
-            new_lease = wal_records(tmp_path, "lease")[2]
+            new_lease = wal_records(tmp_path, "lease")[3]
             assert new_lease["token"] > max(old_tokens)
             done = wal_records(tmp_path, "done")
             assert done[-1]["token"] == new_lease["token"]
         finally:
             d.stop(grace=30)
-        reasons = [r["reason"] for r in wal_records(tmp_path, "requeue")]
-        assert "daemon-restart" in reasons
-
+        restarts = [
+            (r["d"], r["token"]) for r in wal_records(tmp_path, "requeue")
+            if r["reason"] == "daemon-restart"
+        ]
+        assert restarts == list(old.open_leases.items())
 
 class TestStatusView:
     def test_serve_status_and_obs_serve_print_one_document(
@@ -382,7 +377,7 @@ class TestStatusView:
         with QueueWAL(wal_path(tmp_path)) as w:
             w.record_boot(1, 2)
             w.record_submit("t-dead", "alice", dg, u.label(), UNIT)
-            w.record_lease(dg, 1, 1)
+            w.record_lease(dg, u.label(), 1, 1)
             w.record_heartbeat(1.0, queued=0, leased=1, done=0, failed=0)
         monkeypatch.setattr(time, "time", lambda: 2e9)
         assert obs_main(["serve", "--cache-dir", str(tmp_path)]) == 0

@@ -24,8 +24,8 @@ class TestAppendReplay:
         with make_wal(tmp_path) as w:
             w.record_boot(1, 4)
             w.record_submit("t-1", "alice", "d1", "Sobel/cuda", UNIT)
-            w.record_lease("d1", 1, 1)
-            w.record_done("d1", 1, "run")
+            w.record_lease("d1", "l", 1, 1)
+            w.record_done("d1", "run", 1)
         rep = replay(wal_path(tmp_path))
         assert rep.epoch == 1
         assert rep.units["d1"].state == "done"
@@ -38,7 +38,7 @@ class TestAppendReplay:
         with make_wal(tmp_path) as w:
             w.record_boot(1, 4)
             w.record_submit("t-1", "alice", "d1", "Sobel/cuda", UNIT)
-            w.record_lease("d1", 3, 1)
+            w.record_lease("d1", "l", 1, 3)
         rep = replay(wal_path(tmp_path))
         assert rep.open_leases == {"d1": 3}
         assert rep.units["d1"].state == "leased"
@@ -47,8 +47,8 @@ class TestAppendReplay:
     def test_requeue_returns_unit_to_queue(self, tmp_path):
         with make_wal(tmp_path) as w:
             w.record_submit("t-1", "a", "d1", "l", UNIT)
-            w.record_lease("d1", 1, 1)
-            w.record_requeue("d1", 1, "lease-expired")
+            w.record_lease("d1", "l", 1, 1)
+            w.record_requeue("d1", "lease-expired", 1)
         rep = replay(wal_path(tmp_path))
         assert rep.units["d1"].state == "queued"
         assert rep.open_leases == {}
@@ -56,10 +56,10 @@ class TestAppendReplay:
     def test_next_token_floor_covers_every_token_ever_seen(self, tmp_path):
         with make_wal(tmp_path) as w:
             w.record_submit("t-1", "a", "d1", "l", UNIT)
-            w.record_lease("d1", 7, 1)
-            w.record_requeue("d1", 7, "x")
-            w.record_lease("d1", 9, 2)
-            w.record_done("d1", 9, "run")
+            w.record_lease("d1", "l", 1, 7)
+            w.record_requeue("d1", "x", 7)
+            w.record_lease("d1", "l", 2, 9)
+            w.record_done("d1", "run", 9)
         rep = replay(wal_path(tmp_path))
         # tokens are never reused, not even after the holder finished
         assert rep.next_token == 10
@@ -133,3 +133,42 @@ class TestAppendReplay:
         assert e.owner == "alice"  # first submitter is charged
         assert e.tenants == {"alice", "bob"}
         assert e.tickets == {"t-1", "t-2"}
+
+
+class TestLiveFold:
+    def test_appends_from_many_threads_fold_like_a_replay(self, tmp_path):
+        # the daemon's threads and its heartbeat append concurrently; the
+        # live fold must count and apply every record the file holds
+        import sys
+        import threading
+
+        threads, per = 6, 15
+
+        def appender(w, i):
+            for k in range(per):
+                token = i * per + k + 1
+                w.record_lease(f"d{i}", "l", k + 1, token)
+                w.record_heartbeat(1.0, beat=k)
+                w.record_requeue(f"d{i}", "x", token)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_wal(tmp_path) as w:
+                for i in range(threads):
+                    w.record_submit("t-1", "a", f"d{i}", "l", UNIT)
+                workers = [threading.Thread(target=appender, args=(w, i))
+                           for i in range(threads)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in workers)
+        rep = replay(wal_path(tmp_path))
+        assert w.replay.records == rep.records == threads * (1 + 3 * per)
+        assert w.replay.next_token == rep.next_token == threads * per + 1
+        assert {d: u.state for d, u in w.replay.units.items()} == {
+            d: u.state for d, u in rep.units.items()
+        }
