@@ -1,13 +1,11 @@
 """Front-end compilers (NVOPENCC / CLC), shared lowering, and PTXAS."""
 from .clc import compile_opencl
-from .driver import compile_kernel
 from .lower import lower_kernel
 from .nvopencc import compile_cuda
 from .ptxas import assemble
 from .style import CLC_STYLE, CodegenStyle, NVOPENCC_STYLE
 
 __all__ = [
-    "compile_kernel",
     "compile_cuda",
     "compile_opencl",
     "lower_kernel",

@@ -48,15 +48,11 @@ def compile_opencl(
 
 
 def _compile(kernel: Kernel, max_regs: int) -> PTXKernel:
-    log: list[str] = []
     k = fold_constants(kernel, prune_branches=False, algebraic=False)
-    k, report = unroll_loops(k, auto_limit=0, honor_pragmas=True)
-    log += report.log_lines()
+    k, _ = unroll_loops(k, auto_limit=0, honor_pragmas=True)
     k = fold_constants(k, prune_branches=False, algebraic=False)
     ptx = lower_kernel(k, CLC_STYLE)
-    removed = eliminate_dead_code(ptx)
-    if removed:
-        log.append(f"dce removed {removed} instructions")
+    eliminate_dead_code(ptx)
     effective = max(16, int(max_regs * CLC_REG_BUDGET_FACTOR))
     assemble(ptx, max_regs=effective, conservative_span=CLC_CONSERVATIVE_SPAN)
     ptx.producer = "clc"

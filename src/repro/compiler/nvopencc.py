@@ -42,17 +42,13 @@ def compile_cuda(
 
 
 def _compile(kernel: Kernel, max_regs: int) -> PTXKernel:
-    log: list[str] = []
     k = fold_constants(kernel, prune_branches=True, algebraic=True)
-    k, report = unroll_loops(
+    k, _ = unroll_loops(
         k, auto_limit=NVOPENCC_STYLE.auto_unroll_limit, honor_pragmas=True
     )
-    log += report.log_lines()
     k = fold_constants(k, prune_branches=True, algebraic=True)
     ptx = lower_kernel(k, NVOPENCC_STYLE)
-    removed = eliminate_dead_code(ptx)
-    if removed:
-        log.append(f"dce removed {removed} instructions")
+    eliminate_dead_code(ptx)
     assemble(ptx, max_regs=max_regs)
     ptx.producer = "nvopencc"
     ptx.defines = dict(getattr(kernel, "defines", {}) or {})

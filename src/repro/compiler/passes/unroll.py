@@ -30,11 +30,6 @@ class UnrollReport:
     unrolled: list = dataclasses.field(default_factory=list)
     skipped: list = dataclasses.field(default_factory=list)
 
-    def log_lines(self) -> list:
-        out = [f"unrolled loop over {v!r} ({n} copies)" for v, n in self.unrolled]
-        out += [f"could not unroll loop over {v!r}: {why}" for v, why in self.skipped]
-        return out
-
 
 #: auto-unroll budget: statements after expansion (pragmas are exempt)
 AUTO_UNROLL_BUDGET = 512

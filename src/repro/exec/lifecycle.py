@@ -1,12 +1,22 @@
-"""Sweep lifecycle: exit codes, graceful shutdown, ABT preflight.
+"""Sweep lifecycle: one run per sweep CLI, exit codes, drain, ABT preflight.
 
-Three robustness pieces that wrap the engine rather than living in it:
+Every sweep CLI (``repro.experiments``, ``repro.benchsuite``,
+``repro.experiments.paperdoc``) takes its flags from
+:func:`add_sweep_arguments` and runs its units inside a
+:class:`SweepRun`, which owns the tracer, the cache, ``--resume`` and
+the journal, the executor, the drain, the manifest and the exit code::
+
+    with SweepRun(args, "repro.experiments", argv) as run:
+        ...                          # run units on run.executor
+        run.failures, run.stranded = n_failed, drain_left_work
+    return run.exit_code
 
 * **Exit codes** — a sweep process ends in exactly one of three states,
   each with its own code so wrappers (CI, shell loops) can branch on
   ``$?`` alone: ``0`` clean, ``1`` real failures, ``75`` interrupted
   but resumable (75 is BSD ``EX_TEMPFAIL``: "try again later", which is
   literally the contract — rerun with ``--resume``).
+  :func:`run_outcome` is the one mapping, the daemon's ``stop()``'s too.
 * **Graceful shutdown** — :class:`GracefulShutdown` installs
   SIGINT/SIGTERM handlers that *drain* instead of dying: the engine
   stops admitting work, in-flight units get a bounded grace period, and
@@ -25,19 +35,33 @@ Three robustness pieces that wrap the engine rather than living in it:
   reimplementation of the rules.  Sweeps do not call it: a swept
   unit's own launch decides its ABT row.  The variants gate uses it to
   skip rewrites a device cannot admit.
+
+:func:`select_units` is the benchmark selection ``repro.benchsuite``
+and ``repro.serve submit`` share.
 """
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import json
 import signal
+import sys
 from typing import Optional
 
+from .. import telemetry
+from ..arch.specs import ALL_DEVICES
+from ..benchsuite.registry import REAL_WORLD, REGISTRY, SYNTHETIC
 from ..compiler.clc import compile_opencl
 from ..compiler.nvopencc import compile_cuda
 from ..errors import ABORT_CODES, FailureKind
 from ..sim.device import admission_error
 from ..telemetry import log, metrics
-from .unit import WorkUnit, unit_build
+from ..telemetry import spans as tspans
+from . import journal as journal_mod
+from .cache import default_cache_dir
+from .engine import SweepExecutor
+from .unit import WorkUnit, make_unit, unit_build
 
 __all__ = [
     "EXIT_CLEAN",
@@ -47,9 +71,10 @@ __all__ = [
     "PreflightVerdict",
     "preflight_unit",
     "run_outcome",
-    "add_lifecycle_arguments",
-    "open_journal",
-    "lifecycle_summary",
+    "add_sweep_arguments",
+    "add_selection_arguments",
+    "select_units",
+    "SweepRun",
 ]
 
 EXIT_CLEAN = 0
@@ -189,66 +214,208 @@ def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
         )
 
 
-def add_lifecycle_arguments(parser) -> None:
-    """Attach the crash-safety flags shared by every sweep CLI."""
-    g = parser.add_argument_group("lifecycle")
+def add_sweep_arguments(
+    ap: argparse.ArgumentParser, report: bool = True, lifecycle: bool = True
+) -> None:
+    """Attach the flags a :class:`SweepRun` reads.
+
+    The engine flags and the telemetry flags always; ``--sweep-report``
+    / ``--sweep-json`` when ``report``; ``--resume`` / ``--grace`` when
+    ``lifecycle``.
+    """
+    ap.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="fan cold work units out over N worker processes",
+    )
+    ap.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    ap.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the on-disk result cache for this run",
+    )
+    ap.add_argument(
+        "--timeout", type=float, default=None, metavar="SEC",
+        help="cut any single work unit off after SEC wall-clock seconds",
+    )
+    ap.add_argument(
+        "--retries", type=int, default=2, metavar="N",
+        help="retry a unit up to N times on transient failures (default 2)",
+    )
+    if report:
+        ap.add_argument(
+            "--sweep-report", action="store_true",
+            help="print the per-unit timing + cache hit/miss table (stderr)",
+        )
+        ap.add_argument(
+            "--sweep-json", default=None, metavar="FILE",
+            help="write the sweep summary (per-unit timings, hit/miss) as JSON",
+        )
+    telemetry.add_telemetry_arguments(ap)
+    if not lifecycle:
+        return
+    g = ap.add_argument_group("lifecycle")
     g.add_argument(
-        "--resume",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="RUN_ID",
+        "--resume", nargs="?", const="auto", default=None, metavar="RUN_ID",
         help="resume an interrupted run from its journal: a run id, or "
         "bare --resume for the latest resumable journal in the cache dir",
     )
     g.add_argument(
-        "--grace",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
+        "--grace", type=float, default=30.0, metavar="SECONDS",
         help="drain budget after SIGINT/SIGTERM: in-flight units get this "
         "long to finish before the run stops (default 30)",
     )
 
 
-def open_journal(args, cache_dir, run_id: str, command: str, argv=None):
-    """Resolve ``--resume`` and open this run's journal.
+def add_selection_arguments(ap: argparse.ArgumentParser, verb: str) -> None:
+    """Attach the benchmark selection; ``verb`` is what ``--all`` does."""
+    ap.add_argument("names", nargs="*", help=f"benchmarks: {', '.join(REGISTRY)}")
+    ap.add_argument("--all", action="store_true", help=f"{verb} every benchmark")
+    ap.add_argument("--device", default="GTX480", choices=sorted(ALL_DEVICES))
+    ap.add_argument("--api", default="both", choices=["cuda", "opencl", "both"])
+    ap.add_argument("--size", default="default", choices=["small", "default"])
 
-    Returns ``(journal, replay)``; both None when the cache is disabled
-    (no durable results means nothing worth journaling — and
-    ``--resume`` without a cache is rejected outright, since the very
-    results a resume would reuse were never kept).
+
+def select_units(ap: argparse.ArgumentParser, args, doing: str) -> list:
+    """The canonical units a selection names, one per (benchmark, api).
+
+    A device that cannot run CUDA narrows the APIs to OpenCL, with a
+    note on stdout (``doing`` names what the command does with them).
     """
-    from . import journal as journal_mod
+    names = (SYNTHETIC + REAL_WORLD) if args.all else args.names
+    if not names:
+        ap.error("give benchmark names or --all")
+    spec = ALL_DEVICES[args.device]
+    apis = ["cuda", "opencl"] if args.api == "both" else [args.api]
+    if "cuda" in apis and not spec.supports_cuda():
+        print(f"note: {spec.name} is not CUDA-capable; {doing} OpenCL only")
+        apis = ["opencl"]
+    return [make_unit(n, a, spec, args.size) for n in names for a in apis]
 
-    token = getattr(args, "resume", None)
-    if cache_dir is None:
+
+class SweepRun:
+    """One sweep CLI run, from parsed flags to its process exit code.
+
+    What it does follows the flags :func:`add_sweep_arguments`
+    registered.  Entering opens the tracer (and log verbosity),
+    resolves the result cache, builds the :class:`SweepExecutor` and
+    installs it and the tracer; with the lifecycle flags it also opens
+    the run journal (resolving ``--resume``) and drains on
+    SIGINT/SIGTERM.  The body runs its units on :attr:`executor` and
+    sets :attr:`failures` and :attr:`stranded` (a drain left work
+    undone).  A clean exit reports the sweep (with the report flags),
+    sets :attr:`exit_code` by :func:`run_outcome`, closes the journal,
+    prints the resume hint of an interrupted run and writes the trace
+    and manifest.  An exception leaves the journal open for
+    ``--resume``, as a crash would.
+    """
+
+    failures = 0
+    stranded = False
+    exit_code: Optional[int] = None
+    journal = replay = None
+
+    def __init__(self, args, command: str, argv=None):
+        self.args, self.command, self.argv = args, command, argv
+        self.lifecycle = hasattr(args, "resume")
+
+    def __enter__(self) -> "SweepRun":
+        from . import use_executor  # the package imports this module first
+
+        args = self.args
+        self.tracer = telemetry.start_run(args, self.command)
+        self.cache_dir = (
+            None if args.no_cache else (args.cache_dir or default_cache_dir())
+        )
+        if self.lifecycle:
+            self._open_journal()
+        grace = getattr(args, "grace", 30.0)
+        self.executor = SweepExecutor(
+            jobs=args.jobs, cache=self.cache_dir, timeout=args.timeout,
+            retries=args.retries, progress=telemetry.progress_mode(args),
+            journal=self.journal, resumed=self.replay, grace=grace,
+        )
+        if self.replay is not None:
+            # the previous run died; sweep its orphaned tmp files
+            self.executor.cache.purge_tmp()
+        self._stack = contextlib.ExitStack()
+        self._stack.enter_context(use_executor(self.executor))
+        self._stack.enter_context(tspans.use_tracer(self.tracer))
+        if self.lifecycle:
+            self._stack.enter_context(GracefulShutdown(self.executor, grace))
+        return self
+
+    def _open_journal(self) -> None:
+        """Resolve ``--resume`` and open the journal (none without a cache)."""
+        token = self.args.resume
+        if self.cache_dir is None:
+            if token:
+                raise SystemExit(
+                    "--resume needs the result cache (drop --no-cache): "
+                    "completed units are served from it, not re-simulated"
+                )
+            return
         if token:
-            raise SystemExit(
-                "--resume needs the result cache (drop --no-cache): "
-                "completed units are served from it, not re-simulated"
+            self.replay = journal_mod.open_resume(self.cache_dir, token)
+        self.journal = journal_mod.RunJournal.create(
+            self.cache_dir, self.tracer.trace_id, command=self.command,
+            argv=self.argv,
+            resumed_from=None if self.replay is None else self.replay.run_id,
+        )
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._stack:  # then uninstall the drain, tracer and executor
+            if exc_type is not None:
+                return
+            if hasattr(self.args, "sweep_json"):
+                self._report()
+        state, self.exit_code = run_outcome(self.stranded, self.failures)
+        if self.journal is not None:
+            self.journal.close(state)
+        if self.stranded:
+            self.tracer.abandon("interrupted")
+            print(
+                f"run interrupted; resume with: --resume {self.tracer.trace_id}",
+                file=sys.stderr,
             )
-        return None, None
-    replay = None
-    if token:
-        replay = journal_mod.open_resume(cache_dir, token)
-    j = journal_mod.RunJournal.create(
-        cache_dir, run_id, command=command, argv=argv,
-        resumed_from=replay.run_id if replay is not None else None,
-    )
-    return j, replay
+        telemetry.finish_run(
+            self.args, self.tracer, self.command, executor=self.executor,
+            cache_dir=self.cache_dir,
+            lifecycle=self.lifecycle_summary(state) if self.lifecycle else None,
+        )
 
+    def lifecycle_summary(self, state: str) -> dict:
+        """The manifest's ``lifecycle`` block for this finished run."""
+        j, rep = self.journal, self.replay
+        return {
+            "state": state, "exit_code": self.exit_code,
+            "journal": None if j is None else str(j.path),
+            "resumed_from": None if rep is None else rep.run_id,
+            "resumed_hits": self.executor.stats.resumed_hits,
+        }
 
-def lifecycle_summary(
-    state: str, exit_code: int, journal=None, replay=None, executor=None
-) -> dict:
-    """The manifest's ``lifecycle`` block for one finished run."""
-    out = {
-        "state": state,
-        "exit_code": exit_code,
-        "journal": str(journal.path) if journal is not None else None,
-        "resumed_from": replay.run_id if replay is not None else None,
-    }
-    if executor is not None:
-        out["resumed_hits"] = executor.stats.resumed_hits
-    return out
+    def _report(self) -> None:
+        """Log the sweep's accounting, and report it as the flags ask."""
+        from ..prof.report import render_failures, render_sweep
+
+        st = self.executor.stats
+        if st.records:
+            log.info(
+                "sweep.summary",
+                f"sweep: {len(st.records)} unit requests, {st.hits} cache "
+                f"hits, {st.misses} simulated ({st.sim_seconds:.1f}s simulation)",
+            )
+        if st.failures:
+            injected = sum(1 for f in st.failures if f.injected)
+            log.warn(
+                "sweep.failures",
+                f"sweep: {len(st.failures)} unit(s) failed terminally "
+                f"({injected} injected)",
+            )
+            print(render_failures(st), file=sys.stderr)
+        if self.args.sweep_report and st.records:
+            print(render_sweep(st), file=sys.stderr)
+        if self.args.sweep_json:
+            with open(self.args.sweep_json, "w") as f:
+                json.dump(st.summary(), f, indent=2)

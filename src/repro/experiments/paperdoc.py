@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 
 from .. import exec as rexec
-from .. import telemetry
-from ..telemetry import spans as tspans
+from ..exec.lifecycle import SweepRun, add_sweep_arguments
 from . import EXPERIMENTS
 from .report import ExperimentResult, fmt
-from .runner import add_sweep_arguments, build_executor, collect_units, finish_sweep
+from .runner import collect_units
 
 __all__ = ["generate", "main"]
 
@@ -161,20 +160,14 @@ def main(argv=None) -> int:
     ap.add_argument("--size", default="default", choices=["small", "default"])
     ap.add_argument("-o", "--output", default="EXPERIMENTS.md")
     ap.add_argument("--only", nargs="*", default=None)
-    add_sweep_arguments(ap)
+    add_sweep_arguments(ap, lifecycle=False)  # no journal, drain or --resume
     args = ap.parse_args(argv)
-    tr = telemetry.start_run(args, "repro.experiments.paperdoc")
-    with rexec.use_executor(build_executor(args)) as ex, tspans.use_tracer(tr):
+    with SweepRun(args, "repro.experiments.paperdoc") as run:
         text = generate(size=args.size, names=args.only)
-        finish_sweep(args, ex)
-    telemetry.finish_run(
-        args, tr, "repro.experiments.paperdoc", executor=ex,
-        cache_dir=None if ex.cache is None else ex.cache.root,
-    )
     with open(args.output, "w") as f:
         f.write(text)
     print(f"wrote {args.output}")
-    return 0
+    return run.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -271,8 +271,9 @@ def serve_status(cache_dir, now: Optional[float] = None) -> dict:
     no terminal state, a ``staleness`` verdict under :func:`liveness`
     as of ``now`` (default: the wall clock; pinning it makes the
     post-mortem depend only on WAL bytes).  The ``live`` key says
-    which.  ``repro.obs serve`` and ``repro.serve status`` both print
-    this document.
+    which; a workdir with no WAL, where no daemon ever ran, has state
+    ``never-ran``.  ``repro.obs serve`` and ``repro.serve status`` both
+    print this document.
     """
     from ..serve.client import discover
     from ..serve.wal import replay, wal_path
@@ -280,10 +281,13 @@ def serve_status(cache_dir, now: Optional[float] = None) -> dict:
     client = discover(cache_dir)
     if client is not None:
         return {"live": True, **client.status()}
-    rep = replay(wal_path(cache_dir))
+    path = wal_path(cache_dir)
+    if not path.exists():
+        # no WAL, no boot: neither a dead daemon nor a running one
+        return {"live": False, "state": "never-ran", "wal": str(path)}
+    rep = replay(path)
     doc = {
-        "live": False, **rep.summary(),
-        "wal": str(wal_path(cache_dir)), "records": rep.records,
+        "live": False, **rep.summary(), "wal": str(path), "records": rep.records,
     }
     live, age = liveness(rep, time.time() if now is None else float(now))
     if age is not None:

@@ -127,7 +127,8 @@ def render_serve(doc: dict) -> str:
     WAL-replay summary of one that is gone: its terminal state if it
     drained (``stopped``, or ``interrupted`` with work left), else
     ``dead`` with the ``staleness`` verdict of the liveness rule runs
-    share (:func:`~repro.obs.registry.liveness`).
+    share (:func:`~repro.obs.registry.liveness`), or ``never ran`` for
+    a workdir with no WAL.
     """
     if doc.get("live"):
         u = doc.get("units", {})
@@ -158,6 +159,8 @@ def render_serve(doc: dict) -> str:
                     f"({b.get('consecutive_failures', 0)} consecutive failures)"
                 )
         return "\n".join(lines)
+    if doc.get("state") == "never-ran":
+        return f"serve [never ran]  no daemon has run here ({doc['wal']} absent)"
     by_state = doc.get("by_state", {})
     state = doc.get("state")
     killed = state == "running"  # the boot journaled no terminal state

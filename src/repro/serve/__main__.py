@@ -30,8 +30,8 @@ import threading
 import time
 
 from .. import exec as rexec
-from ..arch.specs import ALL_DEVICES
-from ..benchsuite.registry import REAL_WORLD, REGISTRY, SYNTHETIC
+from ..exec import lifecycle
+from ..exec.unit import unit_to_dict
 from ..obs.registry import serve_status
 from ..obs.render import render_serve
 from .admission import TenantQuota
@@ -161,14 +161,7 @@ def _submit_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve submit",
         description="Submit benchmarks to a running sweep daemon",
     )
-    ap.add_argument("names", nargs="*",
-                    help=f"benchmarks: {', '.join(REGISTRY)}")
-    ap.add_argument("--all", action="store_true", help="submit every benchmark")
-    ap.add_argument("--device", default="GTX480", choices=sorted(ALL_DEVICES))
-    ap.add_argument("--api", default="both",
-                    choices=["cuda", "opencl", "both"])
-    ap.add_argument("--size", default="default",
-                    choices=["small", "default"])
+    lifecycle.add_selection_arguments(ap, "submit")
     ap.add_argument("--tenant", default="default",
                     help="tenant name for quota accounting")
     _add_cache_dir(ap)
@@ -183,18 +176,9 @@ def _submit_parser() -> argparse.ArgumentParser:
 def _cmd_submit(argv) -> int:
     ap = _submit_parser()
     args = ap.parse_args(argv)
-    names = (SYNTHETIC + REAL_WORLD) if args.all else args.names
-    if not names:
-        ap.error("give benchmark names or --all")
-    spec = ALL_DEVICES[args.device]
-    apis = ["cuda", "opencl"] if args.api == "both" else [args.api]
-    if "cuda" in apis and not spec.supports_cuda():
-        print(f"note: {spec.name} is not CUDA-capable; submitting OpenCL only")
-        apis = ["opencl"]
     units = [
-        {"benchmark": n, "api": a, "device": spec.name, "size": args.size}
-        for n in names
-        for a in apis
+        unit_to_dict(u)
+        for u in lifecycle.select_units(ap, args, "submitting")
     ]
     cache_dir = _cache_dir(args)
     client = discover(cache_dir)

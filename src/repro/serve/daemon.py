@@ -54,6 +54,7 @@ from ..exec.cache import (
 )
 from ..exec.dispatch import EXIT_OK, POLL_S, Dispatcher, Job, UnitQueue
 from ..exec.journal import UNIT_STATES
+from ..exec.lifecycle import run_outcome
 from ..exec.unit import unit_digest, unit_from_dict, unit_to_dict
 from ..telemetry import log, metrics
 from .admission import (
@@ -230,7 +231,7 @@ class SweepDaemon:
             if u.state == "failed" and not u.injected
         )
         error = self._error()
-        code = 75 if remaining else (1 if unexpected or error else 0)
+        _, code = run_outcome(remaining > 0, unexpected + bool(error))
         log.info(
             "serve.stop",
             f"daemon down: {state}, {remaining} unit(s) left for the next "

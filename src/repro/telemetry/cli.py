@@ -1,18 +1,13 @@
 """Shared CLI wiring for the telemetry layer.
 
-Both experiment-facing CLIs (``python -m repro.experiments`` and
-``python -m repro.benchsuite``) — and ``python -m repro.bench`` — get
-the same observability surface from two calls::
-
-    add_telemetry_arguments(ap)          # --quiet/--verbose/--trace/...
-    tr = start_run(args, "repro.experiments")
-    with use_tracer(tr):
-        ...                              # the actual run
-    finish_run(args, tr, "repro.experiments", executor, cache_dir)
-
-``finish_run`` closes the run span, writes the merged chrome trace
-(``--trace``), and drops the end-of-run :class:`RunManifest` next to
-the result cache (or wherever ``--manifest`` points).
+Every repro CLI gets the same observability surface:
+:func:`add_telemetry_arguments` (``--quiet/--verbose/--trace/...``),
+:func:`start_run` (log verbosity and the run tracer) and
+:func:`finish_run`, which closes the run span, writes the merged chrome
+trace (``--trace``) and drops the end-of-run :class:`RunManifest` next
+to the result cache (or wherever ``--manifest`` points).  The sweep
+CLIs get all three through :class:`repro.exec.lifecycle.SweepRun`;
+``python -m repro.bench`` calls them itself.
 """
 from __future__ import annotations
 

@@ -258,63 +258,65 @@ class TestDegradedMode:
         assert done == {u.label() for u in units} - fails
 
 
-class TestOpenJournal:
-    def test_resume_without_cache_rejected(self):
-        import argparse
+def _sweep_run(*flags):
+    """The SweepRun a sweep CLI builds for these flags."""
+    import argparse
 
-        args = argparse.Namespace(resume="auto")
+    ap = argparse.ArgumentParser()
+    lifecycle.add_sweep_arguments(ap)
+    args = ap.parse_args([*flags, "--no-manifest", "--progress", "off"])
+    return lifecycle.SweepRun(args, "repro.test", list(flags))
+
+
+class TestOpenJournal:
+    """``SweepRun`` resolves ``--resume`` and opens the run journal."""
+
+    def test_resume_without_cache_rejected(self):
         with pytest.raises(SystemExit, match="--resume needs the result cache"):
-            lifecycle.open_journal(args, None, "rid", "repro.test")
+            with _sweep_run("--no-cache", "--resume"):
+                pass
 
     def test_no_cache_no_journal(self):
-        import argparse
-
-        args = argparse.Namespace(resume=None)
-        assert lifecycle.open_journal(args, None, "rid", "t") == (None, None)
+        with _sweep_run("--no-cache") as run:
+            assert (run.journal, run.replay) == (None, None)
 
     def test_fresh_journal_created(self, tmp_path):
-        import argparse
-
-        args = argparse.Namespace(resume=None)
-        j, rep = lifecycle.open_journal(
-            args, tmp_path, "rid-1", "repro.test", ["--all"]
-        )
-        assert rep is None and j.run_id == "rid-1" and j.path.exists()
-        j.close("complete")
+        with _sweep_run("--cache-dir", str(tmp_path)) as run:
+            j, rep = run.journal, run.replay
+            assert rep is None and j.run_id == run.tracer.trace_id
+            assert j.path.exists()
 
     def test_resume_chains_run_ids(self, tmp_path):
-        import argparse
-
         first = RunJournal.create(tmp_path, "rid-1")
         first.record_lease("aaa", "x", 1)
         first.close("interrupted")
-        args = argparse.Namespace(resume="rid-1")
-        j, rep = lifecycle.open_journal(args, tmp_path, "rid-2", "repro.test")
-        assert rep.run_id == "rid-1" and rep.in_flight == {"aaa"}
-        j.close("complete")
+        with _sweep_run("--cache-dir", str(tmp_path), "--resume", "rid-1") as run:
+            j, rep = run.journal, run.replay
+            assert rep.run_id == "rid-1" and rep.in_flight == {"aaa"}
         from repro.exec import journal as jmod
 
         assert jmod.load(j.path).resumed_from == "rid-1"
 
 
 class TestLifecycleSummary:
+    """``SweepRun`` writes the manifest's ``lifecycle`` block."""
+
     def test_minimal(self):
-        out = lifecycle.lifecycle_summary("complete", 0)
-        assert out == {
+        with _sweep_run("--no-cache") as run:
+            pass
+        assert run.lifecycle_summary("complete") == {
             "state": "complete",
             "exit_code": 0,
             "journal": None,
             "resumed_from": None,
+            "resumed_hits": 0,
         }
 
     def test_with_executor(self, tmp_path):
-        j = RunJournal.create(tmp_path, "rid")
-        ex = rexec.SweepExecutor()
-        out = lifecycle.lifecycle_summary(
-            "interrupted", 75, journal=j, executor=ex
-        )
+        with _sweep_run("--cache-dir", str(tmp_path)) as run:
+            run.stranded = True
+        out = run.lifecycle_summary("interrupted")
         assert out["exit_code"] == 75
-        assert out["journal"] == str(j.path)
+        assert out["journal"] == str(run.journal.path)
         assert "demoted" not in out
         assert out["resumed_hits"] == 0
-        j.close("interrupted")

@@ -16,6 +16,11 @@ Three real CLI processes:
 
 A drain that strands nothing is not an interruption: a signal that
 lands while the last unit runs ends the sweep like a clean run.
+
+``repro.experiments`` runs through the same sweep lifecycle, so the
+same trio holds for it: interrupted (75, journal ``interrupted``),
+resumed (0), and the resumed run's reports equal an uninterrupted
+run's.
 """
 import json
 import os
@@ -43,7 +48,7 @@ INTERRUPT_FAULTS = "interrupt:Sobel/cuda*;hang:BFS/cuda*:1.0:1:120"
 INTERRUPT_GRACE = ["--grace", "5"]
 
 
-def run_cli(args, cache, faults=None):
+def run_cli(args, cache, faults=None, cli="repro.benchsuite"):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_FAULTS", None)
@@ -51,7 +56,7 @@ def run_cli(args, cache, faults=None):
     if faults:
         env["REPRO_FAULTS"] = faults
     return subprocess.run(
-        [sys.executable, "-m", "repro.benchsuite", *args,
+        [sys.executable, "-m", cli, *args,
          "--cache-dir", str(cache)],
         capture_output=True, text=True, env=env, timeout=540,
     )
@@ -211,3 +216,56 @@ def test_journal_with_a_demote_record_resumes(tmp_path):
     ]
     assert rep.resumed_from == "old-run" and rep.state == "complete"
     assert json.loads(out_json.read_text())["results"]
+
+
+EXPERIMENTS_ARGS = ["fig1", "fig2", "fig8", "--size", "small", "--jobs", "2",
+                    "--quiet"]
+#: SIGINT the sweep when fig2's first unit starts, while fig1's first unit
+#: (submitted first, so already on a worker) hangs past the grace
+EXPERIMENTS_FAULTS = (
+    "interrupt:MaxFlops/cuda@GTX280*;hang:DeviceMemory/cuda@GTX280*:1.0:1:120"
+)
+
+
+@pytest.fixture(scope="module")
+def experiments_scenario(tmp_path_factory):
+    """The reference / interrupted / resumed trio for repro.experiments."""
+    cache = tmp_path_factory.mktemp("exp-cache-resume")
+
+    def run(args, cache, faults=None):
+        return run_cli(args, cache, faults, cli="repro.experiments")
+
+    reference = run(EXPERIMENTS_ARGS, tmp_path_factory.mktemp("exp-cache-ref"))
+    interrupted = run(
+        EXPERIMENTS_ARGS + INTERRUPT_GRACE, cache, faults=EXPERIMENTS_FAULTS
+    )
+    resumed = run(EXPERIMENTS_ARGS + ["--resume"], cache)
+    journals = {
+        p.stem: jmod.load(p) for p in jmod.journal_dir(cache).glob("*.jsonl")
+    }
+    return SimpleNamespace(
+        reference=reference, interrupted=interrupted, resumed=resumed,
+        journals=journals,
+    )
+
+
+def test_experiments_interrupted_run_exits_75(experiments_scenario):
+    s = experiments_scenario
+    assert s.reference.returncode == 0, s.reference.stderr
+    assert s.interrupted.returncode == 75, s.interrupted.stderr
+    assert "resume with: --resume" in s.interrupted.stderr
+    rep = _interrupted_replay(s)
+    assert rep.state == "interrupted" and rep.resumable
+
+
+def test_experiments_resumed_run_exits_clean(experiments_scenario):
+    s = experiments_scenario
+    assert s.resumed.returncode == 0, s.resumed.stderr
+    rep = _resumed_replay(s)
+    assert rep.state == "complete" and not rep.resumable
+
+
+def test_experiments_resumed_stdout_equals_uninterrupted(experiments_scenario):
+    s = experiments_scenario
+    assert s.reference.stdout and "== fig8" in s.reference.stdout
+    assert s.resumed.stdout == s.reference.stdout

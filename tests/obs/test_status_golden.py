@@ -9,6 +9,7 @@ regenerate with
 
 and review the diff like any other source change.
 """
+import json
 import os
 import pathlib
 
@@ -154,3 +155,12 @@ def test_serve_killed_before_first_beat(tmp_path, monkeypatch):
     check_serve_golden(
         "serve_killed_before_beat.txt", tmp_path, monkeypatch, 5000.0
     )
+
+
+def test_serve_never_ran(tmp_path, monkeypatch, capsys):
+    # no WAL: no daemon ever ran here, so it is neither dead nor running
+    check_serve_golden("serve_never_ran.txt", tmp_path, monkeypatch, 5000.0)
+    from repro.serve.__main__ import main as serve_main
+
+    assert serve_main(["status", "--json", "--cache-dir", "."]) == 0
+    assert json.loads(capsys.readouterr().out)["state"] == "never-ran"
