@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from ..errors import FailureKind, classify
 from ..kir.dialect import CUDA, Dialect, OPENCL
 from ..kir.stmt import Kernel as KirKernel
 from ..kir.types import Scalar
-from ..runtime.cuda.api import CudaContext, CudaError, DevicePointer
+from ..runtime.cuda.api import CudaContext, CudaError
 from ..runtime.opencl import api as cl
+from ..sim.device import SimDevice, dim3
 
 __all__ = [
     "HostAPI",
@@ -94,13 +95,13 @@ class HostAPI(abc.ABC):
     def now(self) -> float:
         """Virtual host clock (for end-to-end timings)."""
 
-    # shared bookkeeping
-    kernel_seconds = 0.0
-    launch_count = 0
+    #: the simulated device behind the runtime
+    sim: SimDevice
 
     @property
-    def warp_size(self) -> int:
-        return self.spec.warp_width
+    @abc.abstractmethod
+    def launch_count(self) -> int:
+        """Kernels launched so far (the runtime's own count)."""
 
     def reset_clock(self) -> None:
         self._t0 = self.now()
@@ -109,27 +110,22 @@ class HostAPI(abc.ABC):
         return self.now() - getattr(self, "_t0", 0.0)
 
 
-def _dims(global_threads, wg):
-    g = global_threads if isinstance(global_threads, tuple) else (global_threads,)
-    l = wg if isinstance(wg, tuple) else (wg,)
-    g = g + (1,) * (3 - len(g))
-    l = l + (1,) * (3 - len(l))
-    return g, l
-
-
 class CudaHost(HostAPI):
     api_name = "cuda"
     dialect = CUDA
 
     def __init__(self, spec: DeviceSpec):
         self.ctx = CudaContext(spec)
+        self.sim = self.ctx.device
         self.fns: dict = {}
-        self.kernel_seconds = 0.0
-        self.launch_count = 0
 
     @property
     def spec(self) -> DeviceSpec:
         return self.ctx.spec
+
+    @property
+    def launch_count(self) -> int:
+        return self.ctx.launch_count
 
     def build(self, kernels, defines=None) -> None:
         for k in kernels:
@@ -145,12 +141,9 @@ class CudaHost(HostAPI):
         return self.ctx.memcpy_dtoh(buf, count)
 
     def launch(self, name, global_threads, wg, **args) -> float:
-        g, l = _dims(global_threads, wg)
+        g, l = dim3(global_threads), dim3(wg)
         grid = tuple(-(-gi // li) for gi, li in zip(g, l))
-        res = self.ctx.launch(self.fns[name], grid, l, args)
-        self.kernel_seconds += res.kernel_seconds
-        self.launch_count += 1
-        return res.kernel_seconds
+        return self.ctx.launch(self.fns[name], grid, l, args).kernel_seconds
 
     def now(self) -> float:
         return self.ctx.now
@@ -163,14 +156,17 @@ class OpenCLHost(HostAPI):
     def __init__(self, spec: DeviceSpec):
         self.clctx = cl.create_context_for(spec.name)
         self.queue = cl.CommandQueue(self.clctx)
+        self.sim = self.queue.device.sim
         self.kernels: dict = {}
-        self.kernel_seconds = 0.0
-        self.launch_count = 0
         self.program: Optional[cl.Program] = None
 
     @property
     def spec(self) -> DeviceSpec:
         return self.clctx.device.spec
+
+    @property
+    def launch_count(self) -> int:
+        return self.queue.launch_count
 
     def build(self, kernels, defines=None) -> None:
         self.program = cl.Program(self.clctx, list(kernels)).build(defines)
@@ -188,16 +184,13 @@ class OpenCLHost(HostAPI):
         return arr
 
     def launch(self, name, global_threads, wg, **args) -> float:
-        g, l = _dims(global_threads, wg)
+        g, l = dim3(global_threads), dim3(wg)
         # OpenCL global sizes count work-items and must be padded to a
         # multiple of the work-group size (the usual host idiom)
         gsz = tuple(-(-gi // li) * li for gi, li in zip(g, l))
         kern = self.kernels[name]
         kern.set_args(**args)
-        ev = self.queue.enqueue_nd_range(kern, gsz, l)
-        self.kernel_seconds += ev.kernel_seconds
-        self.launch_count += 1
-        return ev.kernel_seconds
+        return self.queue.enqueue_nd_range(kern, gsz, l).kernel_seconds
 
     def now(self) -> float:
         return self.queue.now
@@ -271,9 +264,21 @@ class Benchmark(abc.ABC):
             opts.update(overrides)
         return opts
 
-    def defines_for(self, api: HostAPI) -> dict:
-        """Build-time macros; SDK-style code bakes the wavefront width."""
-        return {"WARP_SIZE": api.spec.warp_width}
+    def build_inputs(
+        self,
+        dialect: Dialect,
+        spec: DeviceSpec,
+        size: str,
+        overrides: Optional[Mapping] = None,
+    ) -> tuple:
+        """``(params, options, defines)`` of a build on ``spec``, for runs,
+        unit fingerprints and gap attribution alike.  SDK-style code bakes
+        the device's wavefront width in as ``WARP_SIZE``."""
+        return (
+            self.sizes()[size],
+            self.options_for(dialect, overrides),
+            {"WARP_SIZE": spec.warp_width},
+        )
 
     def run(
         self,
@@ -281,9 +286,9 @@ class Benchmark(abc.ABC):
         size: str = "default",
         options: Optional[Mapping] = None,
     ) -> BenchResult:
-        params = self.sizes()[size]
-        opts = self.options_for(api.dialect, options)
-        defines = self.defines_for(api)
+        params, opts, defines = self.build_inputs(
+            api.dialect, api.spec, size, options
+        )
         kerns = self.build_kernels(api.dialect, opts, defines, params)
         try:
             api.build(kerns, defines)

@@ -6,8 +6,8 @@ pipeline is pure: output depends only on the source kernel, the
 dialect, and the register budget.  The cache keys on exactly those and
 stores each compiled kernel as its pickled bytes, so every hit unpickles
 a private copy — callers mutate the result (``Program.build`` rewrites
-``defines``, runtimes set ``producer``, the interpreter memoizes launch
-preparation on the object) and nothing aliases across programs.  The
+``defines``, the interpreter memoizes launch preparation on the object)
+and nothing aliases across programs.  The
 memoized content digest is in the pickled ``__dict__``, so sweeps pay
 one digest per unique compile.  Bytes also keep a long-lived process
 small: pickled, a sweep's entries take about a sixth of the memory of

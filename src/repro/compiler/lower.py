@@ -2,7 +2,8 @@
 
 One engine serves both front ends; every behavioural difference is a
 :class:`~repro.compiler.style.CodegenStyle` knob.  See ``style.py`` for
-why the knobs are set the way they are.
+why the knobs are set the way they are.  :func:`compile_with` is the
+one front-end pipeline around it (paper Fig. 9, step 5).
 """
 from __future__ import annotations
 
@@ -35,9 +36,14 @@ from ..kir.types import AddrSpace, Scalar, is_float, is_integer, sizeof
 from ..ptx.instructions import Imm, Instr, Reg, RegAllocator
 from ..ptx.isa import Op
 from ..ptx.module import PTXKernel, PTXParam, ResourceUsage
+from .ccache import cached_compile
+from .passes.constfold import fold_constants
+from .passes.dce import eliminate_dead_code
+from .passes.unroll import unroll_loops
+from .ptxas import assemble
 from .style import CodegenStyle
 
-__all__ = ["lower_kernel"]
+__all__ = ["lower_kernel", "compile_with"]
 
 _CMP_OPS = {"lt", "le", "gt", "ge", "eq", "ne"}
 
@@ -634,10 +640,43 @@ class Lowerer:
             shared_bytes=self.shared_bytes,
             uses_texture=any(i.op is Op.TEX for i in self.instrs),
         )
-        out.virtual_regs = out.max_reg_index() + 1
         return out
 
 
 def lower_kernel(kernel: Kernel, style: CodegenStyle) -> PTXKernel:
     """Lower a (possibly pre-transformed) IR kernel to virtual ISA."""
     return Lowerer(kernel, style).run()
+
+
+def compile_with(
+    style: CodegenStyle, kernel: Kernel, max_regs: int, force: bool = False
+) -> PTXKernel:
+    """Compile ``kernel`` to allocated virtual ISA as ``style``'s front
+    end does: fold -> unroll -> re-fold -> lower -> DCE -> ptxas.
+
+    ``max_regs`` is the device's per-thread budget; ``force`` permits a
+    kernel of the other dialect (cross-front-end experiments only).
+    """
+    if kernel.dialect != style.dialect and not force:
+        raise ValueError(
+            f"kernel {kernel.name!r} is {kernel.dialect}-dialect; "
+            f"{style.name} compiles {style.dialect} kernels (or force=True)"
+        )
+    return cached_compile(
+        style.dialect, kernel, max_regs, lambda: _compile(style, kernel, max_regs)
+    )
+
+
+def _compile(style: CodegenStyle, kernel: Kernel, max_regs: int) -> PTXKernel:
+    fold = style.fold_prunes_branches
+    k = fold_constants(kernel, prune_branches=fold, algebraic=fold)
+    k, _ = unroll_loops(
+        k, auto_limit=style.auto_unroll_limit, honor_pragmas=True
+    )
+    k = fold_constants(k, prune_branches=fold, algebraic=fold)
+    ptx = lower_kernel(k, style)
+    eliminate_dead_code(ptx)
+    budget = max(style.reg_budget_floor, int(max_regs * style.reg_budget_factor))
+    assemble(ptx, max_regs=budget, conservative_span=style.conservative_span)
+    ptx.defines = dict(getattr(kernel, "defines", {}) or {})
+    return ptx

@@ -1,15 +1,11 @@
-"""Compiler passes: KIR-level (fold, unroll, pragmas) and PTX-level (dce)."""
+"""Compiler passes: KIR-level (fold, unroll) and PTX-level (dce)."""
 from .constfold import fold_constants
 from .dce import eliminate_dead_code
-from .pragmas import set_unroll_point, strip_unroll_point, unroll_points
 from .unroll import UnrollReport, unroll_loops
 
 __all__ = [
     "fold_constants",
     "eliminate_dead_code",
-    "set_unroll_point",
-    "strip_unroll_point",
-    "unroll_points",
     "unroll_loops",
     "UnrollReport",
 ]

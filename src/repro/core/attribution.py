@@ -192,16 +192,16 @@ def attribute_gap(
     )
 
     # compiler/runtime: static instruction-mix disparity as evidence
-    from ..compiler import compile_cuda, compile_opencl
     from ..kir.dialect import CUDA, OPENCL
     from ..ptx.stats import class_totals, histogram
+    from ..runtime.overhead import compile_for
 
-    ck = bench.kernels(CUDA, bench.options_for(CUDA, None), {"WARP_SIZE": 32}, bench.sizes()[size])[0]
-    ok_ = bench.kernels(OPENCL, bench.options_for(OPENCL, None), {"WARP_SIZE": 32}, bench.sizes()[size])[0]
-    hc = class_totals(histogram(compile_cuda(ck, spec.max_regs_per_thread)))
-    ho = class_totals(
-        histogram(compile_opencl(ok_, spec.max_regs_per_thread))
-    )
+    def first_kernel_mix(api: str, dialect) -> dict:
+        params, opts, defines = bench.build_inputs(dialect, spec, size)
+        k = bench.build_kernels(dialect, opts, defines, params)[0]
+        return class_totals(histogram(compile_for(api, k, spec)))
+
+    hc, ho = first_kernel_mix("cuda", CUDA), first_kernel_mix("opencl", OPENCL)
     tc, to = sum(hc.values()), sum(ho.values())
     imbalance = abs(to - tc) / max(tc, 1)
     spill_note = ""

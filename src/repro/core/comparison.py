@@ -64,9 +64,8 @@ def compare(
     cuda_res, cuda_prof = cuda_unit.bench, cuda_unit.profile
     opencl_res, opencl_prof = opencl_unit.bench, opencl_unit.profile
 
-    params = benchmark.sizes()[size]
-    c_opts = benchmark.options_for(CUDA, cuda_options)
-    o_opts = benchmark.options_for(OPENCL, opencl_options)
+    params, c_opts, _ = benchmark.build_inputs(CUDA, spec, size, cuda_options)
+    _, o_opts, _ = benchmark.build_inputs(OPENCL, spec, size, opencl_options)
     wg = c_opts.get("wg", "default")
     c_cfg = describe(benchmark.name, "cuda", spec.name, c_opts, params, wg)
     o_cfg = describe(benchmark.name, "opencl", spec.name, o_opts, params, wg)

@@ -27,9 +27,8 @@ the journal, the executor, the drain, the manifest and the exit code::
 * **ABT preflight** — :func:`preflight_unit` predicts, without
   launching, whether a unit will abort at enqueue for lack of device
   resources (Table VI's "ABT" rows).  It compiles the unit's kernels
-  through the same front ends with the same
-  :meth:`~repro.arch.specs.DeviceSpec.launch_reg_budget` the runtimes
-  use, then asks :func:`repro.sim.device.admission_error` — the same
+  with :func:`repro.runtime.overhead.compile_for`, then asks
+  :func:`repro.sim.device.admission_error` — the same
   pure function the simulator's launch path calls — so a verdict agrees
   with the eventual launch outcome by construction, not by a parallel
   reimplementation of the rules.  Sweeps do not call it: a swept
@@ -52,9 +51,8 @@ from typing import Optional
 from .. import telemetry
 from ..arch.specs import ALL_DEVICES
 from ..benchsuite.registry import REAL_WORLD, REGISTRY, SYNTHETIC
-from ..compiler.clc import compile_opencl
-from ..compiler.nvopencc import compile_cuda
 from ..errors import ABORT_CODES, FailureKind
+from ..runtime.overhead import compile_for
 from ..sim.device import admission_error
 from ..telemetry import log, metrics
 from ..telemetry import spans as tspans
@@ -177,11 +175,11 @@ class PreflightVerdict:
 def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
     """Predict whether ``unit`` would abort at enqueue (Table VI "ABT").
 
-    Compiles each of the unit's kernels exactly as the host API would —
-    same front end, same per-thread register budget from
-    ``spec.launch_reg_budget(wg_hint)`` — and feeds the compiled
-    resource usage to the simulator's own ``admission_error``, so the
-    verdict is the one the unit's launch would reach.
+    Compiles each of the unit's kernels through the runtimes' one build
+    path, :func:`repro.runtime.overhead.compile_for` (same front end,
+    same register budget), and feeds the compiled resource usage to the
+    simulator's own ``admission_error``, so the verdict is the one the
+    unit's launch would reach.
     """
     spec = spec if spec is not None else unit.spec
     label = unit.label()
@@ -190,9 +188,8 @@ def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
         return PreflightVerdict(label, False, note="cuda-unsupported")
     try:
         bench, dialect, params, opts, defines = unit_build(unit, spec)
-        compile_fn = compile_cuda if unit.api == "cuda" else compile_opencl
         for k in bench.build_kernels(dialect, opts, defines, params):
-            ptx = compile_fn(k, max_regs=spec.launch_reg_budget(k.wg_hint))
+            ptx = compile_for(unit.api, k, spec)
             # block shape: admission only depends on the thread product,
             # and every host launches with product == wg_hint
             code = admission_error(spec, ptx.resources, (k.wg_hint, 1, 1))

@@ -161,18 +161,18 @@ def _plain(v):
 def unit_build(unit: WorkUnit, spec: Optional[DeviceSpec] = None) -> tuple:
     """Resolve the unit's build inputs exactly as a run would.
 
-    Returns ``(bench, dialect, params, opts, defines)`` — the single
-    resolution path shared by :func:`unit_fingerprint`, which keys on
-    these inputs, and the callers that build the unit's kernels from
-    them (the ABT preflight, variant planning), so the key and the
-    kernels can never drift apart.
+    Returns ``(bench, dialect, params, opts, defines)``, the last three
+    from ``Benchmark.build_inputs`` as ``Benchmark.run`` takes them.
+    :func:`unit_fingerprint` keys on these inputs and the ABT preflight
+    and variant planning build from them, so the key, the kernels and
+    the run can never drift apart.
     """
     spec = spec if spec is not None else unit.spec
     bench = get_benchmark(unit.benchmark)
     dialect = _dialect(unit.api)
-    params = bench.sizes()[unit.size]
-    opts = bench.options_for(dialect, dict(unit.options))
-    defines = {"WARP_SIZE": spec.warp_width}
+    params, opts, defines = bench.build_inputs(
+        dialect, spec, unit.size, dict(unit.options)
+    )
     return bench, dialect, params, opts, defines
 
 
@@ -251,7 +251,6 @@ def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
     injected failures behave exactly like real ones to every layer
     above (retry, quarantine, reporting).
     """
-    from ..prof.collect import sim_device_of
     from ..prof.profile import aggregate
 
     if faults is not None:
@@ -261,9 +260,7 @@ def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
     t0 = time.perf_counter()
     result = bench.run(host, size=unit.size, options=unit.options_dict())
     seconds = time.perf_counter() - t0
-    profile = aggregate(
-        sim_device_of(host).profiles, label=f"{bench.name}/{unit.api}"
-    )
+    profile = aggregate(host.sim.profiles, label=f"{bench.name}/{unit.api}")
     return UnitResult(
         unit=unit, bench=result, profile=profile, seconds=seconds, cached=False
     )

@@ -12,7 +12,7 @@ import dataclasses
 from typing import Mapping, Optional
 
 from ..arch.specs import ALL_DEVICES, DeviceSpec
-from ..benchsuite.base import BenchResult, HostAPI, host_for
+from ..benchsuite.base import BenchResult, host_for
 from ..benchsuite.registry import REGISTRY, get_benchmark
 from .profile import LaunchProfile, aggregate
 
@@ -20,7 +20,6 @@ __all__ = [
     "BenchmarkProfile",
     "profile_benchmark",
     "resolve_device",
-    "sim_device_of",
 ]
 
 
@@ -35,13 +34,6 @@ def resolve_device(name_or_spec) -> DeviceSpec:
     raise KeyError(
         f"unknown device {name_or_spec!r}; available: {sorted(ALL_DEVICES)}"
     )
-
-
-def sim_device_of(host: HostAPI):
-    """The :class:`~repro.sim.device.SimDevice` behind either host API."""
-    if hasattr(host, "ctx"):  # CudaHost
-        return host.ctx.device
-    return host.clctx.device.sim  # OpenCLHost
 
 
 @dataclasses.dataclass
@@ -78,11 +70,10 @@ def profile_benchmark(
     bench = get_benchmark(canonical)
     host = host_for(api, spec)
     result = bench.run(host, size=size, options=options)
-    sim = sim_device_of(host)
     return BenchmarkProfile(
         benchmark=bench.name,
         api=api,
         device=spec.name,
         result=result,
-        launches=list(sim.profiles),
+        launches=list(host.sim.profiles),
     )

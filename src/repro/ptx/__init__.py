@@ -1,7 +1,7 @@
 """PTX-like virtual ISA: instructions, kernels, statistics, verification."""
 from .instructions import Imm, Instr, Reg, RegAllocator
 from .isa import IClass, Op, is_load, is_memory, is_store, klass_of, stats_key
-from .module import PTXKernel, PTXModule, PTXParam, ResourceUsage
+from .module import PTXKernel, PTXParam, ResourceUsage
 from .printer import format_instr, format_kernel
 from .stats import class_totals, histogram, table
 from .verify import PTXVerificationError, verify
@@ -19,7 +19,6 @@ __all__ = [
     "is_load",
     "is_store",
     "PTXKernel",
-    "PTXModule",
     "PTXParam",
     "ResourceUsage",
     "format_instr",

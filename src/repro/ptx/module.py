@@ -1,17 +1,16 @@
-"""Kernel and module containers for compiled code."""
+"""Kernel containers for compiled code."""
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import pickle
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..kir.stmt import Kernel as KirKernel
 from ..kir.types import AddrSpace, Scalar
-from .instructions import Instr, Reg
+from .instructions import Instr
 from .isa import Op
 
-__all__ = ["PTXParam", "PTXKernel", "PTXModule", "ResourceUsage"]
+__all__ = ["PTXParam", "PTXKernel", "ResourceUsage"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,8 +47,6 @@ class PTXKernel:
     producer: str = ""
     #: dialect of the source kernel ("cuda" / "opencl")
     dialect: str = ""
-    #: number of virtual registers before allocation (for diagnostics)
-    virtual_regs: int = 0
     #: macros the kernel was compiled with (e.g. WARP_SIZE); informational
     defines: dict = dataclasses.field(default_factory=dict)
 
@@ -65,18 +62,6 @@ class PTXKernel:
 
     def static_size(self) -> int:
         return sum(1 for _ in self.real_instrs())
-
-    def max_reg_index(self) -> int:
-        hi = -1
-        for i in self.instrs:
-            for r in i.regs_read():
-                hi = max(hi, r.idx)
-            if i.dst is not None:
-                hi = max(hi, i.dst.idx)
-        return hi
-
-    def pointer_params(self) -> list[PTXParam]:
-        return [p for p in self.params if p.is_pointer]
 
     def content_digest(self) -> str:
         """Stable digest of the executable content, memoized on self.
@@ -105,18 +90,3 @@ class PTXKernel:
             self.__dict__["_content_digest"] = d
         return d
 
-
-@dataclasses.dataclass
-class PTXModule:
-    """A compiled translation unit: one or more kernels plus build info."""
-
-    kernels: dict
-    producer: str = ""
-    source: Optional[KirKernel] = None
-    build_log: list = dataclasses.field(default_factory=list)
-
-    def kernel(self, name: str) -> PTXKernel:
-        return self.kernels[name]
-
-    def __iter__(self):
-        return iter(self.kernels.values())

@@ -10,22 +10,25 @@ reproducible.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Mapping, Optional
 
 import numpy as np
 
 from ...arch.specs import DeviceSpec, GTX480
-from ...compiler.nvopencc import compile_cuda
 from ...errors import ReproError
 from ...kir.stmt import Kernel as KirKernel
-from ...kir.types import Scalar
+from ...kir.types import Scalar, sizeof
 from ...prof.profile import LaunchProfile
 from ...ptx.module import PTXKernel
-from ...sim.device import LaunchFailure, LaunchResult, SimDevice
-from ...telemetry import metrics
-from ...telemetry.metrics import OVERHEAD_BUCKETS_S
-from ..overhead import cuda_launch_overhead_s
+from ...sim.device import LaunchFailure, LaunchResult, SimDevice, dim3
+from ..overhead import (
+    compile_for,
+    count_launch,
+    cuda_launch_overhead_s,
+    stamp_profile,
+)
 
 __all__ = ["CudaContext", "CudaFunction", "CudaEvent", "DevicePointer", "CudaError"]
 
@@ -90,14 +93,10 @@ class CudaContext:
         self.spec = spec
         self.device = SimDevice(spec)
         self.now = 0.0  # virtual host clock, seconds
-        self.last_launch: Optional[LaunchResult] = None
-        self.kernel_seconds_total = 0.0
         self.launch_count = 0
 
     # -- memory ------------------------------------------------------------
     def malloc(self, count: int, elem: Scalar = Scalar.F32) -> DevicePointer:
-        from ...kir.types import sizeof
-
         nbytes = count * sizeof(elem)
         return DevicePointer(self.device.alloc(nbytes), nbytes, elem)
 
@@ -110,8 +109,6 @@ class CudaContext:
         self.now += self.device.upload(ptr.base, host)
 
     def memcpy_dtoh(self, ptr: DevicePointer, count: Optional[int] = None) -> np.ndarray:
-        from ...kir.types import sizeof
-
         count = count if count is not None else ptr.nbytes // sizeof(ptr.elem)
         arr, dt = self.device.download(ptr.base, count, ptr.elem)
         self.now += dt
@@ -119,10 +116,8 @@ class CudaContext:
 
     # -- compilation ---------------------------------------------------------
     def compile(self, kernel: KirKernel) -> CudaFunction:
-        # nvcc-style launch bounds (shared with the ABT preflight)
-        budget = self.spec.launch_reg_budget(kernel.wg_hint)
         t0 = time.perf_counter()
-        ptx = compile_cuda(kernel, max_regs=budget)
+        ptx = compile_for("cuda", kernel, self.spec)
         return CudaFunction(self, ptx, kernel, time.perf_counter() - t0)
 
     # -- execution ------------------------------------------------------------
@@ -131,33 +126,17 @@ class CudaContext:
             k: (v.base if isinstance(v, DevicePointer) else v)
             for k, v in args.items()
         }
-        g = grid if isinstance(grid, tuple) else (grid, 1, 1)
-        b = block if isinstance(block, tuple) else (block, 1, 1)
-        work_items = (
-            g[0] * (g[1] if len(g) > 1 else 1) * (g[2] if len(g) > 2 else 1)
-        ) * (b[0] * (b[1] if len(b) > 1 else 1) * (b[2] if len(b) > 2 else 1))
         try:
             res = self.device.launch(fn.ptx, grid, block, prepared)
         except LaunchFailure as e:
             raise CudaError(str(e), code=e.code) from e
-        overhead = cuda_launch_overhead_s(work_items)
-        metrics.counter("runtime.cuda.launches").inc()
-        metrics.counter("runtime.cuda.launch_overhead_s").inc(overhead)
-        metrics.histogram(
-            "runtime.cuda.overhead_s", OVERHEAD_BUCKETS_S
-        ).observe(overhead)
-        if res.profile is not None:
-            p = res.profile
-            p.api = "cuda"
-            p.compile_s = fn.compile_s
-            p.launch_overhead_s = overhead
-            p.queued_s = self.now
-            p.start_s = self.now + overhead
-            p.end_s = p.start_s + res.kernel_seconds
+        overhead = cuda_launch_overhead_s(
+            math.prod(dim3(grid)) * math.prod(dim3(block))
+        )
+        count_launch("cuda", overhead)
+        stamp_profile(res, "cuda", fn.compile_s, overhead, self.now)
         self.now += overhead + res.kernel_seconds
-        self.kernel_seconds_total += res.kernel_seconds
         self.launch_count += 1
-        self.last_launch = res
         return res
 
     # -- events ------------------------------------------------------------
@@ -170,9 +149,7 @@ class CudaContext:
     # -- profiling ----------------------------------------------------------
     def profile_query(self) -> Optional[LaunchProfile]:
         """The last launch's profile (CUPTI-style counter readout)."""
-        if self.last_launch is None:
-            return None
-        return self.last_launch.profile
+        return self.device.profiles[-1] if self.device.profiles else None
 
     @property
     def profiles(self) -> list:

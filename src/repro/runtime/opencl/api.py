@@ -18,12 +18,13 @@ the "FL" entries of Table VI.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+import math
+import time
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ...arch.specs import (
-    ALL_DEVICES,
     CELLBE,
     DeviceSpec,
     GTX280,
@@ -31,16 +32,18 @@ from ...arch.specs import (
     HD5870,
     INTEL920,
 )
-from ...compiler.clc import compile_opencl
 from ...errors import ReproError
 from ...kir.stmt import Kernel as KirKernel
 from ...kir.types import Scalar, sizeof
 from ...prof.profile import LaunchProfile
 from ...ptx.module import PTXKernel
-from ...sim.device import LaunchFailure, LaunchResult, SimDevice
-from ...telemetry import metrics
-from ...telemetry.metrics import OVERHEAD_BUCKETS_S
-from ..overhead import opencl_launch_overhead_s
+from ...sim.device import LaunchFailure, SimDevice, dim3
+from ..overhead import (
+    compile_for,
+    count_launch,
+    opencl_launch_overhead_s,
+    stamp_profile,
+)
 
 __all__ = [
     "CLError",
@@ -230,15 +233,11 @@ class Program:
         self._source = source
         self._built: Optional[dict] = None
         self.build_log: list = []
-        self.defines: dict = {}
         self.build_s = 0.0
 
     def build(self, defines: Optional[Mapping[str, int]] = None) -> "Program":
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         defines = dict(defines or {})
-        self.defines = defines
         kernels = (
             list(self._source(defines))
             if callable(self._source)
@@ -252,8 +251,7 @@ class Program:
                     "CL_BUILD_PROGRAM_FAILURE",
                     f"kernel {k.name!r} is not OpenCL C",
                 )
-            budget = device.spec.launch_reg_budget(k.wg_hint)
-            ptx = compile_opencl(k, max_regs=budget)
+            ptx = compile_for("opencl", k, device.spec)
             ptx.defines = dict(defines)
             built[k.name] = (ptx, k)
             if device.spec.architecture == "cell":
@@ -269,7 +267,7 @@ class Program:
                     )
         self._built = built
         #: clBuildProgram wall time, amortized per kernel when profiling
-        self.build_s = _time.perf_counter() - t0
+        self.build_s = time.perf_counter() - t0
         return self
 
     def kernel(self, name: str) -> "Kernel":
@@ -304,9 +302,7 @@ class CommandQueue:
         self.context = context
         self.device = device or context.device
         self.now = 0.0
-        self.kernel_seconds_total = 0.0
         self.launch_count = 0
-        self.last_launch: Optional[LaunchResult] = None
 
     # -- transfers ----------------------------------------------------------
     def enqueue_write_buffer(self, buf: Buffer, host: np.ndarray) -> Event:
@@ -337,10 +333,7 @@ class CommandQueue:
         not blocks — one of the paper's §IV-B.1 programming-model
         differences vs CUDA's GridDim.
         """
-        gs = global_size if isinstance(global_size, tuple) else (global_size, 1, 1)
-        ls = local_size if isinstance(local_size, tuple) else (local_size, 1, 1)
-        gs = gs + (1,) * (3 - len(gs))
-        ls = ls + (1,) * (3 - len(ls))
+        gs, ls = dim3(global_size), dim3(local_size)
         for g, l in zip(gs, ls):
             if l <= 0 or g % l:
                 raise CLError(
@@ -348,37 +341,23 @@ class CommandQueue:
                     f"global {gs} not divisible by local {ls}",
                 )
         grid = tuple(g // l for g, l in zip(gs, ls))
-        total_items = gs[0] * gs[1] * gs[2]
 
         args = {
             k: (v.base if isinstance(v, Buffer) else v)
             for k, v in kernel._args.items()
         }
         queued = self.now
-        overhead = opencl_launch_overhead_s(total_items)
-        metrics.counter("runtime.opencl.launches").inc()
-        metrics.counter("runtime.opencl.launch_overhead_s").inc(overhead)
-        metrics.histogram(
-            "runtime.opencl.overhead_s", OVERHEAD_BUCKETS_S
-        ).observe(overhead)
-        start = queued + overhead
+        overhead = opencl_launch_overhead_s(math.prod(gs))
+        count_launch("opencl", overhead)
         try:
             res = self.device.sim.launch(kernel.ptx, grid, ls, args)
         except LaunchFailure as e:
             raise CLError(e.code, f"kernel {kernel.name!r}") from e
-        end = start + res.kernel_seconds
-        if res.profile is not None:
-            p = res.profile
-            p.api = "opencl"
-            p.compile_s = kernel.program.build_s
-            p.launch_overhead_s = overhead
-            p.queued_s = queued
-            p.start_s = start
-            p.end_s = end
+        start, end = stamp_profile(
+            res, "opencl", kernel.program.build_s, overhead, queued
+        )
         self.now = end
-        self.kernel_seconds_total += res.kernel_seconds
         self.launch_count += 1
-        self.last_launch = res
         return Event(
             queued_s=queued,
             submit_s=queued,

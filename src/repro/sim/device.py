@@ -12,7 +12,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..arch.occupancy import Occupancy, occupancy
+from ..arch.occupancy import occupancy
 from ..arch.specs import DeviceSpec
 from ..errors import ReproError
 from ..kir.types import Scalar, np_dtype
@@ -31,6 +31,7 @@ __all__ = [
     "LaunchFailure",
     "OutOfDeviceMemory",
     "admission_error",
+    "dim3",
 ]
 
 
@@ -39,9 +40,11 @@ def admission_error(spec: DeviceSpec, resources, block: tuple) -> Optional[str]:
 
     A pure function of (DeviceSpec, per-kernel resource usage, block
     shape) — the complete admission control the simulator applies at
-    enqueue time.  These are the checks behind Table VI's "ABT" rows,
-    and because :func:`repro.exec.lifecycle.preflight_unit` calls *this
-    same function* on the same compiled resources, a preflight verdict
+    enqueue time.  These are the checks behind Table VI's "ABT" rows
+    (Cell/BE rejects FFT/DXTC/RdxS/STNW), and because
+    :func:`repro.exec.lifecycle.preflight_unit` calls *this same
+    function* on resources compiled by the runtimes' one build path,
+    :func:`repro.runtime.overhead.compile_for`, a preflight verdict
     agrees with the launch-time outcome by construction.
     """
     threads = block[0] * block[1] * block[2]
@@ -77,7 +80,6 @@ class LaunchFailure(ReproError):
 class LaunchResult:
     timing: KernelTiming
     stats: LaunchStats
-    occupancy: Occupancy
     profile: Optional[LaunchProfile] = None
 
     @property
@@ -85,10 +87,10 @@ class LaunchResult:
         return self.timing.total_s
 
 
-def _norm_dim(d) -> tuple:
-    if isinstance(d, int):
-        return (d, 1, 1)
-    d = tuple(d)
+def dim3(d) -> tuple:
+    """A launch shape as its three extents: a scalar or a 1-3 tuple,
+    padded with 1s (CUDA's ``dim3``, OpenCL's NDRange sizes)."""
+    d = tuple(d) if isinstance(d, (tuple, list)) else (d,)
     return d + (1,) * (3 - len(d))
 
 
@@ -97,7 +99,6 @@ class SimDevice:
         self.spec = spec
         self.mem = FlatMemory(spec.mem_capacity_mb * (1 << 20))
         self.memsys = MemorySystem(spec)
-        self.launch_log: list = []
         #: one LaunchProfile per launch, in launch order
         self.profiles: list[LaunchProfile] = []
         #: in-run launch memo table (None when disabled); guarded replay
@@ -127,17 +128,6 @@ class SimDevice:
             return nbytes / 8e9 + 2e-6  # in-host memcpy
         return nbytes / (self.spec.pcie_gbps * 1e9) + 8e-6
 
-    # -- resource validation ------------------------------------------------
-    def check_launch(self, kernel: PTXKernel, block: tuple) -> Optional[str]:
-        """Return an error code if the launch cannot run on this device.
-
-        These are the checks behind Table VI's "ABT" rows: the Cell/BE's
-        small register file and local store reject FFT/DXTC/RdxS/STNW at
-        enqueue time with ``CL_OUT_OF_RESOURCES``.  Delegates to
-        :func:`admission_error`, which ``preflight_unit`` shares.
-        """
-        return admission_error(self.spec, kernel.resources, block)
-
     # -- launch ------------------------------------------------------------
     def launch(
         self,
@@ -151,9 +141,9 @@ class SimDevice:
         ``args`` maps parameter names to device base addresses (pointer
         params, as ints) and Python/numpy scalars (value params).
         """
-        grid = _norm_dim(grid)
-        block = _norm_dim(block)
-        err = self.check_launch(kernel, block)
+        grid = dim3(grid)
+        block = dim3(block)
+        err = admission_error(self.spec, kernel.resources, block)
         if err is not None:
             raise LaunchFailure(err, f"kernel {kernel.name!r} block={block}")
 
@@ -219,10 +209,7 @@ class SimDevice:
             mem_delta,
         )
         self.profiles.append(profile)
-        result = LaunchResult(
-            timing=timing, stats=stats, occupancy=occ, profile=profile
-        )
-        self.launch_log.append((kernel.name, grid, block, timing.total_s))
+        result = LaunchResult(timing=timing, stats=stats, profile=profile)
         metrics.counter("sim.launches").inc()
         metrics.counter("sim.dram_bytes").inc(float(np.sum(dram)))
         metrics.counter("sim.warp_instructions").inc(stats.warp_instructions)

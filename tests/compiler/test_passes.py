@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from repro.compiler.passes.constfold import fold_constants
-from repro.compiler.passes.pragmas import (
-    set_unroll_point,
-    strip_unroll_point,
-    unroll_points,
-)
 from repro.compiler.passes.unroll import unroll_loops
 from repro.kir import (
     Assign,
@@ -228,25 +223,3 @@ class TestConstFold:
         eval_kernel(folded, 1, 1, {"o": O2})
         assert np.allclose(O1, O2)
 
-
-class TestPragmas:
-    def _kernel(self):
-        k = KernelBuilder("k", CUDA)
-        o = k.buffer("o", Scalar.S32)
-        with k.for_("i", 0, 9, unroll=k.unroll(9, point="a")) as i:
-            with k.for_("j", 0, 3, unroll=k.unroll(point="b")) as j:
-                k.store(o, i * 3 + j, 0)
-        return k.finish()
-
-    def test_unroll_points_listing(self):
-        pts = unroll_points(self._kernel())
-        assert pts == {"a": 9, "b": -1}
-
-    def test_strip_point(self):
-        out = strip_unroll_point(self._kernel(), "a")
-        assert "a" not in unroll_points(out)
-        assert "b" in unroll_points(out)
-
-    def test_set_point_factor(self):
-        out = set_unroll_point(self._kernel(), "a", 3)
-        assert unroll_points(out)["a"] == 3

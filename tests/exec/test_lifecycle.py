@@ -138,12 +138,12 @@ class TestPreflightAgreement:
 def cellbe_pool_sweep():
     """The Cell/BE small suite at ``jobs=2``, counting driver compiles.
 
-    Both front ends are wrapped where the runtimes and the preflight
-    look them up; the pool forks after the wrap, so a call counts only
+    Both front ends are wrapped where the one build path of the
+    runtimes and the preflight (``repro.runtime.overhead.compile_for``)
+    looks them up; the pool forks after the wrap, so a call counts only
     when ``os.getpid()`` is still the driver's.
     """
-    from repro.runtime.cuda import api as cuda_api
-    from repro.runtime.opencl import api as opencl_api
+    from repro.runtime import overhead
 
     driver = os.getpid()
     calls = []
@@ -157,10 +157,8 @@ def cellbe_pool_sweep():
 
     units = _suite_units(CELLBE)
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (lifecycle, cuda_api):
-            mp.setattr(mod, "compile_cuda", counted(mod.compile_cuda))
-        for mod in (lifecycle, opencl_api):
-            mp.setattr(mod, "compile_opencl", counted(mod.compile_opencl))
+        mp.setattr(overhead, "compile_cuda", counted(overhead.compile_cuda))
+        mp.setattr(overhead, "compile_opencl", counted(overhead.compile_opencl))
         ex = rexec.SweepExecutor(jobs=2, progress="off")
         ex.prewarm(units)
         prewarm_calls = list(calls)

@@ -9,6 +9,7 @@ from repro.runtime.overhead import (
     cuda_launch_overhead_s,
     opencl_launch_overhead_s,
 )
+from repro.telemetry import metrics
 
 
 def _vadd(dialect):
@@ -173,3 +174,51 @@ class TestLaunchOverheads:
         growth_cuda = cuda_launch_overhead_s(1 << 20) - cuda_launch_overhead_s(0)
         growth_ocl = opencl_launch_overhead_s(1 << 20) - opencl_launch_overhead_s(0)
         assert growth_ocl > growth_cuda
+
+
+class TestLaunchAccounting:
+    """Where each runtime counts a launch the device refuses to admit.
+
+    CUDA counts a launch once the device has admitted it.  OpenCL counts
+    at enqueue, so a rejected Cell/BE enqueue still adds one launch and
+    its overhead to ``runtime.opencl.*``; the ``repro.bench`` gate's
+    ``launch.*`` values rest on that order.  Neither runtime's own launch
+    count or virtual clock moves for a rejected launch.
+    """
+
+    def test_cuda_counts_only_admitted_launches(self):
+        ctx = rt_cuda.CudaContext(GTX480)
+        p = ctx.malloc(64)
+        fn = ctx.compile(_vadd(CUDA))
+        now = ctx.now
+        with metrics.use_registry() as reg:
+            with pytest.raises(rt_cuda.CudaError) as info:
+                fn.launch(1, 2048, a=p, b=p, c=p)  # over 1024 threads/block
+            assert info.value.code == "CL_OUT_OF_RESOURCES"
+            assert not [n for n in reg.names() if n.startswith("runtime.cuda.")]
+            assert (ctx.launch_count, ctx.now) == (0, now)
+            fn.launch(2, 32, a=p, b=p, c=p)
+            assert reg.get("runtime.cuda.launches").value == 1
+            assert reg.get("runtime.cuda.launch_overhead_s").value == (
+                cuda_launch_overhead_s(64)
+            )
+            assert ctx.launch_count == 1
+
+    def test_opencl_counts_a_rejected_enqueue(self):
+        ctx = cl.create_context_for("Cell/BE")
+        q = cl.CommandQueue(ctx)
+        b = cl.Buffer.create(ctx, 512)
+        kern = cl.Program(ctx, [_vadd(OPENCL)]).build().kernel("vadd")
+        kern.set_args(a=b, b=b, c=b)
+        with metrics.use_registry() as reg:
+            with pytest.raises(cl.CLError, match="OUT_OF_RESOURCES"):
+                q.enqueue_nd_range(kern, 512, 512)  # over 256 items/group
+            assert reg.get("runtime.opencl.launches").value == 1
+            assert reg.get("runtime.opencl.launch_overhead_s").value == (
+                opencl_launch_overhead_s(512)
+            )
+            assert reg.get("runtime.opencl.overhead_s").count == 1
+            assert (q.launch_count, q.now) == (0, 0.0)
+            q.enqueue_nd_range(kern, 512, 256)
+            assert reg.get("runtime.opencl.launches").value == 2
+            assert q.launch_count == 1
