@@ -22,10 +22,6 @@ class Occupancy:
     active_threads_per_cu: int
     limiter: str
 
-    @property
-    def occupancy_fraction(self) -> float:
-        return self.blocks_per_cu and 1.0  # informational; see warps_per_cu
-
 
 def occupancy(
     spec: DeviceSpec,

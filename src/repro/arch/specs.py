@@ -113,10 +113,6 @@ class DeviceSpec:
     #: implicitly by hardware" — paper §V / TranP observation)
     local_mem_is_plain_memory: bool = False
 
-    @property
-    def cores_per_cu(self) -> int:
-        return self.cores // self.compute_units
-
     def core_clock_hz(self) -> float:
         return self.core_clock_mhz * 1e6
 
@@ -352,10 +348,16 @@ CELLBE = DeviceSpec(
 ALL_DEVICES = {d.name: d for d in (GTX480, GTX280, HD5870, INTEL920, CELLBE)}
 
 
+def _loose(name) -> str:
+    return "".join(c for c in str(name).lower() if c not in "-_/")
+
+
 def device_by_name(name: str) -> DeviceSpec:
-    try:
-        return ALL_DEVICES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown device {name!r}; available: {sorted(ALL_DEVICES)}"
-        ) from None
+    """The device keyed ``name``, else the one whose name differs only in
+    case and ``-``/``_``/``/`` (``gtx480``, ``GTX-480``)."""
+    spec = ALL_DEVICES.get(name) or next(
+        (d for k, d in ALL_DEVICES.items() if _loose(k) == _loose(name)), None
+    )
+    if spec is None:
+        raise KeyError(f"unknown device {name!r}; available: {sorted(ALL_DEVICES)}")
+    return spec

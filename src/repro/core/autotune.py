@@ -5,17 +5,21 @@ programs to all available specific platforms."  This is a small,
 honest version of that: exhaustive search over user-supplied discrete
 parameter axes (work-group size, unroll factors, optimization toggles),
 scoring each configuration by the benchmark's own metric on the target
-device.  Deterministic simulation makes the search exactly reproducible.
+device.  Every candidate is a :class:`~repro.exec.unit.WorkUnit` served
+by the active executor, so candidates share the sweep's memo and cache,
+fan out over its ``--jobs`` and fail one row at a time; deterministic
+simulation makes the search exactly reproducible.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
+from .. import exec as rexec
 from ..arch.specs import DeviceSpec
-from ..benchsuite.base import Benchmark, host_for
 from ..benchsuite.registry import get_benchmark
+from ..errors import UnitFailed
 
 __all__ = ["TuneResult", "autotune"]
 
@@ -31,11 +35,6 @@ class TuneResult:
     #: every evaluated point: (options, value or None on failure)
     trace: tuple
 
-    def speedup_over(self, baseline_value: float, higher_is_better: bool = True) -> float:
-        if higher_is_better:
-            return self.best_value / baseline_value
-        return baseline_value / self.best_value
-
 
 def autotune(
     benchmark,
@@ -44,41 +43,41 @@ def autotune(
     api: str = "opencl",
     size: str = "small",
 ) -> TuneResult:
-    """Exhaustively tune ``axes`` (option name -> candidate values)."""
-    if isinstance(benchmark, str):
-        benchmark = get_benchmark(benchmark)
-    assert isinstance(benchmark, Benchmark)
+    """Exhaustively tune ``axes`` (option name -> candidate values).
+
+    ``spec`` names a registered device.  A candidate that fails (a run
+    error, or a result that is not ok) scores ``None`` in the trace.
+    ``trace`` and ``best_options`` keep the caller's option spelling,
+    defaults included.
+    """
+    bench = get_benchmark(benchmark if isinstance(benchmark, str) else benchmark.name)
     names = sorted(axes)
-    best_opts: Optional[dict] = None
-    best_val: Optional[float] = None
+    candidates = [
+        dict(zip(names, combo)) for combo in itertools.product(*(axes[n] for n in names))
+    ]
+    units = [rexec.make_unit(bench.name, api, spec, size, opts) for opts in candidates]
+    executor = rexec.active()
+    executor.prewarm(units)
     trace = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        opts = dict(zip(names, combo))
+    for opts, unit in zip(candidates, units):
         try:
-            res = benchmark.run(host_for(api, spec), size=size, options=opts)
-        except Exception:
-            trace.append((opts, None))
-            continue
-        if not res.ok():
-            trace.append((opts, None))
-            continue
-        score = res.value if benchmark.metric.higher_is_better else -res.value
-        trace.append((opts, res.value))
-        if best_val is None or score > (
-            best_val if benchmark.metric.higher_is_better else -best_val
-        ):
-            best_val = res.value
-            best_opts = opts
-    if best_opts is None:
+            res = executor.run_unit(unit).bench
+        except UnitFailed:
+            res = None
+        trace.append((opts, res.value if res is not None and res.ok() else None))
+    scored = [(opts, v) for opts, v in trace if v is not None]
+    if not scored:
         raise RuntimeError(
-            f"no working configuration found for {benchmark.name} on {spec.name}"
+            f"no working configuration found for {bench.name} on {spec.name}"
         )
+    sign = 1 if bench.metric.higher_is_better else -1
+    best_opts, best_val = max(scored, key=lambda ov: sign * ov[1])
     return TuneResult(
-        benchmark=benchmark.name,
+        benchmark=bench.name,
         device=spec.name,
         api=api,
         best_options=best_opts,
         best_value=best_val,
-        unit=benchmark.metric.unit,
+        unit=bench.metric.unit,
         trace=tuple(trace),
     )

@@ -17,6 +17,8 @@ import dataclasses
 import enum
 from typing import Mapping, Optional
 
+from ..runtime.overhead import front_end
+
 __all__ = [
     "Step",
     "Role",
@@ -151,7 +153,7 @@ def describe(
         algorithm=benchmark_name,  # both dialects share one algorithm here
         implementation=f"{benchmark_name}-host-shared",
         native_optimizations=tuple(sorted((k, str(v)) for k, v in options.items())),
-        first_stage_compiler="nvopencc" if api_name == "cuda" else "clc",
+        first_stage_compiler=front_end(api_name)[0].name,
         second_stage_compiler="ptxas",
         problem_parameters=tuple(sorted((k, str(v)) for k, v in size_params.items())),
         algorithmic_parameters=(("wg", str(wg)),),

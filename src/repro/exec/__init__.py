@@ -140,7 +140,7 @@ def run_benchmark(
     size: str = "default",
     options: Optional[Mapping] = None,
 ):
-    """Engine-routed replacement for ``bench.run(host_for(api, spec))``.
+    """Serve one benchmark run through the active executor.
 
     Returns the :class:`~repro.benchsuite.base.BenchResult` (cached or
     freshly simulated).

@@ -66,9 +66,6 @@ class WorkUnit:
     def spec(self) -> DeviceSpec:
         return device_by_name(self.device)
 
-    def options_dict(self) -> Optional[dict]:
-        return dict(self.options) if self.options else None
-
     def label(self) -> str:
         opts = ",".join(f"{k}={v}" for k, v in self.options)
         base = f"{self.benchmark}/{self.api}@{self.device}[{self.size}]"
@@ -88,6 +85,9 @@ class UnitResult:
     seconds: float
     #: True when served from the result cache instead of simulated
     cached: bool = False
+    #: the run's per-launch :class:`~repro.prof.profile.LaunchProfile`
+    #: list, kept only by a fresh :func:`execute`: it has no JSON form
+    launches: list = dataclasses.field(default_factory=list)
 
 
 def _dialect(api: str):
@@ -111,9 +111,11 @@ def make_unit(
     Options are sorted by key, and an option whose value equals the
     benchmark's default for this API (same value, same type) is dropped,
     so equal work has one unit, one label and one digest whatever way it
-    was spelled.  Unknown keys and ``rewrite`` tokens are kept.
+    was spelled.  Unknown keys and ``rewrite`` tokens are kept.  A
+    device is stored as :func:`device_by_name` resolves it (``gtx480``
+    is ``GTX480``).
     """
-    name = device.name if isinstance(device, DeviceSpec) else str(device)
+    name = device.name if isinstance(device, DeviceSpec) else device_by_name(device).name
     opts = {str(k): _frozen(v) for k, v in (options or {}).items()}
     if opts:
         defaults = get_benchmark(str(benchmark)).options_for(_dialect(api), None)
@@ -245,6 +247,10 @@ def unit_digest(
 def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
     """Actually simulate one work unit (no caching at this layer).
 
+    The one place in the package that builds a host and runs a
+    benchmark: the engine, the daemon's workers and the profiler CLI
+    all run units here.
+
     ``attempt``/``faults`` are the fault-injection boundary: when a
     :class:`repro.faults.FaultInjector` is supplied, it fires any fault
     planned for this unit's label *before* the simulation runs, so
@@ -258,9 +264,10 @@ def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
     bench = get_benchmark(unit.benchmark)
     host = host_for(unit.api, unit.spec)
     t0 = time.perf_counter()
-    result = bench.run(host, size=unit.size, options=unit.options_dict())
+    result = bench.run(host, size=unit.size, options=dict(unit.options) or None)
     seconds = time.perf_counter() - t0
-    profile = aggregate(host.sim.profiles, label=f"{bench.name}/{unit.api}")
+    launches = host.sim.profiles
     return UnitResult(
-        unit=unit, bench=result, profile=profile, seconds=seconds, cached=False
+        unit=unit, bench=result, seconds=seconds, launches=launches,
+        profile=aggregate(launches, label=f"{bench.name}/{unit.api}"),
     )

@@ -24,13 +24,6 @@ def units(size: str = "default") -> list:
         for api in ("cuda", "opencl")
     ]
 
-#: the paper's qualitative expectations per benchmark (GTX280, GTX480)
-PAPER_SHAPE = {
-    "Sobel": ("OpenCL much faster (PR ~3.2)", "similar-ish (PR ~0.83)"),
-    "FFT": ("largest CUDA advantage", "largest CUDA advantage"),
-    "BFS": ("CUDA faster (launch overhead)", "CUDA faster (launch overhead)"),
-}
-
 
 def run(size: str = "default") -> ExperimentResult:
     res = ExperimentResult(

@@ -1,5 +1,7 @@
 """CLI: profile a benchmark and emit an ASCII report + chrome trace.
 
+Each benchmark runs once through :func:`repro.exec.unit.execute`.
+
 Usage::
 
     python -m repro.prof BFS --device gtx480
@@ -11,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .collect import profile_benchmark
+from ..benchsuite.registry import REGISTRY
+from ..exec.unit import execute, make_unit
 from .report import render_run
 from .trace import write_chrome_trace
 
@@ -40,37 +43,41 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
+    by_lower = {k.lower(): k for k in REGISTRY}
     failures = 0
     for name in args.benchmarks:
+        bench = by_lower.get(name.lower())
+        if bench is None:
+            ap.error(f"unknown benchmark {name!r}; available: {sorted(REGISTRY)}")
         try:
-            bp = profile_benchmark(
-                name, args.device, api=args.api, size=args.size
-            )
+            unit = make_unit(bench, args.api, args.device, args.size)
         except KeyError as e:
             ap.error(str(e.args[0] if e.args else e))
-        title = f"{bp.benchmark} [{args.size}]"
-        print(render_run(bp.launches, title=title))
-        if not bp.result.ok():
+        r = execute(unit)
+        print(render_run(r.launches, title=f"{bench} [{args.size}]"))
+        if not r.bench.ok():
             print(
                 f"note: benchmark did not complete cleanly "
-                f"({bp.result.failure or 'incorrect output'})"
+                f"({r.bench.failure or 'incorrect output'})"
             )
-        violations = bp.check()
+        violations = [
+            f"launch {i}: {v}" for i, p in enumerate(r.launches) for v in p.check()
+        ]
         if violations:
             failures += 1
             print("profiler invariant violations:", file=sys.stderr)
             for v in violations:
                 print(f"  !! {v}", file=sys.stderr)
         else:
-            print(f"profiler invariants: OK ({len(bp.launches)} launches)")
-        if not args.no_trace and bp.launches:
-            path = args.trace or f"{bp.benchmark.lower()}.{bp.device.lower().replace('/', '')}.trace.json"
+            print(f"profiler invariants: OK ({len(r.launches)} launches)")
+        if not args.no_trace and r.launches:
+            path = args.trace or f"{bench.lower()}.{unit.device.lower().replace('/', '')}.trace.json"
             if args.trace and len(args.benchmarks) > 1:
                 # one trace per benchmark: suffix instead of overwriting
                 stem = path[: -len(".json")] if path.endswith(".json") else path
-                path = f"{stem}.{bp.benchmark.lower()}.json"
+                path = f"{stem}.{bench.lower()}.json"
             write_chrome_trace(
-                bp.launches, path, process_name=f"{bp.benchmark} on {bp.device}"
+                r.launches, path, process_name=f"{bench} on {unit.device}"
             )
             print(f"chrome trace written to {path} (open in chrome://tracing)")
         print()

@@ -1,9 +1,9 @@
 """The host path both runtimes share: build, launch overhead, accounting.
 
 Each decision between a kernel and its launch is made here once:
-:func:`compile_for` picks a build's front end and register budget, the
-overhead models price a launch, and :func:`count_launch` and
-:func:`stamp_profile` account for it.
+:func:`front_end` picks a build's front end and :func:`compile_for` its
+register budget, the overhead models price a launch, and
+:func:`count_launch` and :func:`stamp_profile` account for it.
 
 §IV-B.4 of the paper: "the kernel launch time of OpenCL is longer than
 that of CUDA (the gap size depends on the problem size), due to
@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from ..compiler.clc import compile_opencl
 from ..compiler.nvopencc import compile_cuda
+from ..compiler.style import CLC_STYLE, NVOPENCC_STYLE
 from ..telemetry import metrics
 from ..telemetry.metrics import OVERHEAD_BUCKETS_S
 
 __all__ = [
     "compile_for",
+    "front_end",
     "count_launch",
     "cuda_launch_overhead_s",
     "opencl_launch_overhead_s",
@@ -37,12 +39,20 @@ OPENCL_LAUNCH_FIXED_S = 10.0e-6
 OPENCL_LAUNCH_PER_ITEM_S = 0.5e-9
 
 
+def front_end(api: str) -> tuple:
+    """``api``'s first-stage front end as ``(CodegenStyle, compile)``,
+    looked up per call so a front end patched by name is the one run."""
+    if api == "cuda":
+        return NVOPENCC_STYLE, compile_cuda
+    return CLC_STYLE, compile_opencl
+
+
 def compile_for(api: str, kernel, spec):
     """Compile ``kernel`` as ``api``'s host builds it for ``spec``:
-    NVOPENCC or CLC, at the spec's launch budget for ``kernel.wg_hint``.
-    The runtimes, the ABT preflight and gap attribution all build here."""
-    front_end = compile_cuda if api == "cuda" else compile_opencl
-    return front_end(kernel, max_regs=spec.launch_reg_budget(kernel.wg_hint))
+    its :func:`front_end`, at the spec's launch budget for
+    ``kernel.wg_hint``.  The runtimes, the ABT preflight and gap
+    attribution all build here."""
+    return front_end(api)[1](kernel, max_regs=spec.launch_reg_budget(kernel.wg_hint))
 
 
 def cuda_launch_overhead_s(total_work_items: int) -> float:

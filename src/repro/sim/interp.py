@@ -450,10 +450,6 @@ class GridRunner:
         raise SimulationError(f"no ALU semantics for {op}")  # pragma: no cover
 
     # -- batch execution ---------------------------------------------------
-    def run_block(self, bidx: tuple, cu: int) -> None:
-        """Run one block (a batch of size 1); kept for callers/tests."""
-        self.run_batch([bidx], [cu])
-
     def run_batch(self, bidxs: list, cus: list) -> None:
         """Run a batch of consecutive blocks in lockstep.
 

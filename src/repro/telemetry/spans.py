@@ -69,10 +69,6 @@ class Span:
     t1: Optional[float] = None
     attrs: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def duration_s(self) -> float:
-        return (self.t1 if self.t1 is not None else self.t0) - self.t0
-
     def as_dict(self) -> dict:
         return {
             "kind": "span",

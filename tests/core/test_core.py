@@ -187,3 +187,50 @@ class TestAutotune:
             size="small",
         )
         assert len(res.trace) == 2
+
+    AXES = {"wg": [64, 128, 256]}
+
+    def _tune(self):
+        return autotune("DeviceMemory", GTX480, axes=self.AXES, api="opencl")
+
+    def test_candidates_are_served_by_the_engine(self):
+        from repro import exec as rexec
+
+        with rexec.use_executor(rexec.SweepExecutor()) as ex:
+            first = self._tune()
+            misses = ex.stats.misses
+            assert misses == 3
+            assert self._tune() == first
+            assert ex.stats.misses == misses  # the memo served every candidate
+        # the caller's spelling, defaults included
+        assert [o for o, _ in first.trace] == [{"wg": w} for w in self.AXES["wg"]]
+
+    def test_parallel_matches_serial(self):
+        from repro import exec as rexec
+
+        with rexec.use_executor(rexec.SweepExecutor(jobs=1)):
+            serial = self._tune()
+        with rexec.use_executor(rexec.SweepExecutor(jobs=2)):
+            assert self._tune() == serial
+
+    def test_failed_candidate_scores_none(self):
+        from repro import exec as rexec
+
+        label = rexec.make_unit(
+            "DeviceMemory", "opencl", GTX480, "small", {"wg": 128}
+        ).label()
+        with rexec.use_executor(rexec.SweepExecutor(faults=f"raise:{label}")) as ex:
+            res = self._tune()
+        assert dict((o["wg"], v) for o, v in res.trace)[128] is None
+        assert [v is None for _, v in res.trace].count(True) == 1
+        assert [f.label for f in ex.stats.failures] == [label]
+        assert res.best_options["wg"] != 128
+
+    def test_demo_output_matches_golden(self, capsys):
+        import runpy
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        runpy.run_path(str(root / "examples" / "autotune_demo.py"), run_name="__main__")
+        golden = root / "tests" / "fixtures" / "autotune_demo.txt"
+        assert capsys.readouterr().out == golden.read_text()

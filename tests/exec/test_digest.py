@@ -11,6 +11,7 @@ import dataclasses
 import json
 import shutil
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import exec as rexec
@@ -227,6 +228,18 @@ def test_unit_dict_round_trip_is_canonical():
     back = unit_from_dict(json.loads(json.dumps(unit_to_dict(tiled))))
     assert back == tiled and hash(back) == hash(tiled)
     assert rexec.make_unit("Sobel", "cuda", GTX480, "small", {"wg": [16, 16]}).options == ()
+
+
+def test_device_spellings_share_one_unit():
+    lower = rexec.make_unit("MD", "cuda", "gtx480", "small")
+    assert lower == rexec.make_unit("MD", "cuda", "GTX480", "small")
+    assert lower.device == "GTX480"
+    assert rexec.unit_digest(lower) == rexec.unit_digest(
+        rexec.make_unit("MD", "cuda", "GTX-480", "small")
+    )
+    assert device_by_name("cell_be") is device_by_name("Cell/BE")
+    with pytest.raises(KeyError):
+        rexec.make_unit("MD", "cuda", "GTX999", "small")
 
 
 def test_paper_sweep_units_equal_digests():

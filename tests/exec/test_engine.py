@@ -210,6 +210,22 @@ def test_compare_routes_through_active_executor():
     assert out1.opencl_profile.kernel == "TranP/opencl"
 
 
+def test_execute_keeps_launches_out_of_the_payload():
+    import dataclasses
+
+    from repro.prof.profile import aggregate
+
+    r = rexec.execute(UNIT)
+    assert r.launches
+    payload = rexec.result_to_json(r)
+    assert "launches" not in payload
+    assert payload == rexec.result_to_json(dataclasses.replace(r, launches=[]))
+    # the stored profile is the aggregate of the kept launches
+    agg = aggregate(r.launches, label="TranP/cuda")
+    assert payload == rexec.result_to_json(dataclasses.replace(r, profile=agg))
+    assert rexec.result_from_json(payload).launches == []
+
+
 def test_sweep_stats_render_and_summary():
     from repro.prof.report import render_sweep
 

@@ -1,5 +1,7 @@
 """Tests for the per-launch profiling subsystem (``repro.prof``)."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,14 +191,33 @@ class TestReport:
         assert text.count("vadd") >= 2
 
 
-class TestCollect:
-    def test_profile_benchmark_end_to_end(self):
-        from repro.prof.collect import profile_benchmark
+class TestExecute:
+    def test_execute_launches_end_to_end(self):
+        from repro.exec.unit import execute, make_unit
 
-        bp = profile_benchmark("bfs", GTX480, api="cuda", size="small")
-        assert bp.benchmark == "BFS"  # case-insensitive lookup
-        assert bp.launches
-        assert bp.check() == []
-        agg = bp.summary
+        r = execute(make_unit("BFS", "cuda", "gtx480", "small"))
+        assert r.unit.device == "GTX480"  # lenient device spelling
+        assert r.launches
+        assert [v for p in r.launches for v in p.check()] == []
+        agg = aggregate(r.launches, label="BFS/cuda")
         assert agg.gmem_requests > 0
         assert agg.transactions_per_request >= 1.0
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["--device", "gtx480"], "prof_md_bfs_cuda_gtx480.txt"),
+        (["--api", "opencl", "--device", "gtx280"], "prof_md_bfs_opencl_gtx280.txt"),
+    ],
+)
+def test_cli_output_matches_golden(argv, fixture, capsys):
+    """The CLI's report, with the front end's wall-clock compile time masked."""
+    from repro.prof.__main__ import main
+
+    assert main(["MD", "BFS", *argv, "--size", "small", "--no-trace"]) == 0
+    out = re.sub(r"(?m)^  compile .*$", "  compile         <wall>", capsys.readouterr().out)
+    assert out == (FIXTURES / fixture).read_text()

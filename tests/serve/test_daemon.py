@@ -118,6 +118,9 @@ class TestLifecycleAndDedup:
             bad = d.submit("a", [{"benchmark": "NoSuchBench", "api": "cuda",
                                   "device": "GTX480"}])
             assert bad.status == 400 and not bad.accepted
+            bad = d.submit("a", [dict(UNIT, device="GTX999")])
+            assert bad.status == 400 and bad["error"] == "bad unit"
+            assert "GTX999" in bad["detail"]
         finally:
             d.stop(grace=5)
 
