@@ -7,15 +7,15 @@ per-metric tolerance and exits non-zero on regression.
 
 What gets gated is chosen for cross-machine stability: the simulator
 runs on a *virtual* clock, so any drift means the model (or the
-harness) changed, which is exactly what the gate is for.  The counts
-(units, launches, DRAM bytes, warp instructions) are bit-stable across
-hosts, job counts and scheduling.  The float sums (simulated kernel
-seconds, launch-overhead totals) are not: they add per-launch values
-in completion order, so job counts differ in the last bits (fig1 +
-fig8 + table6 at ``--size small``: the ``sim.kernel_s`` sum reads
-0.00611166182266272 at ``--jobs 1`` and 0.006111661822662725 at
-``--jobs 2``).  Their 1% tolerance exists to absorb that.
-Wall time is not measured here; ``perfbench/`` owns it.
+harness) changed, which is exactly what the gate is for.  Every value
+is the same whatever ``--jobs``, grouping or settle order: the counts
+(units, launches, DRAM bytes, warp instructions) are integers, and
+the float sums (simulated kernel seconds, launch-overhead totals) are
+exact sums of each attempt's snapshot, rounded once
+(:mod:`repro.telemetry.metrics`).  So one host writes one ``metrics``
+block at any job count.  The floats keep a 1% tolerance only for
+hosts whose per-launch floats disagree in the last bits, which no one
+has measured.  Wall time is not measured here; ``perfbench/`` owns it.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: gated metric -> relative tolerance.  Counts gate exactly; the float
-#: sums' tolerance only absorbs summation-order noise.
+#: sums' tolerance only absorbs last-bit differences between hosts.
 DEFAULT_TOLERANCES = {
     "units.total": 0.0,
     "units.failed": 0.0,

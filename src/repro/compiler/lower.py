@@ -348,8 +348,7 @@ class Lowerer:
 
         # strength reduction of integer div/rem by powers of two
         if (
-            self.style.strength_reduce
-            and e.op in ("div", "rem")
+            e.op in ("div", "rem")
             and is_integer(dt)
             and isinstance(e.b, Const)
             and _is_pow2(e.b.value)
@@ -521,9 +520,8 @@ class Lowerer:
 
     # an if-body is predicable when it is a short run of simple statements
     def _predicable(self, body) -> bool:
-        if not self.style.predicate_ifs:
-            return False
-        if len(body) > self.style.predicate_limit:
+        limit = self.style.predicate_limit
+        if not limit or len(body) > limit:  # a 0 limit never predicates
             return False
         return all(isinstance(x, (Let, Assign, Store)) for x in body)
 

@@ -43,12 +43,9 @@ class CodegenStyle:
     float_fuse: str | None
     #: compute buffer addresses with ``mad`` (else ``shl``+``add``)
     addr_via_mad: bool
-    #: lower small if-bodies to predicated instructions instead of branches
-    predicate_ifs: bool
-    #: max predicable if-body size (real instructions)
+    #: max if-body size (real instructions) lowered to predicated
+    #: instructions instead of branches (0: never predicate)
     predicate_limit: int
-    #: strength-reduce div/rem by power-of-two constants to shr/and
-    strength_reduce: bool
     #: auto-unroll constant-trip loops up to this many iterations
     #: (0 disables; pragmas are always honored)
     auto_unroll_limit: int
@@ -72,9 +69,7 @@ NVOPENCC_STYLE = CodegenStyle(
     fuse_int_mad=True,
     float_fuse="mad",  # GT200-era nvopencc emitted mad.f32, not fma
     addr_via_mad=True,
-    predicate_ifs=True,
     predicate_limit=4,
-    strength_reduce=True,
     auto_unroll_limit=64,
     fold_prunes_branches=True,
     reg_budget_factor=1.0,
@@ -90,9 +85,7 @@ CLC_STYLE = CodegenStyle(
     fuse_int_mad=False,
     float_fuse="fma",
     addr_via_mad=False,
-    predicate_ifs=False,
     predicate_limit=0,
-    strength_reduce=True,
     auto_unroll_limit=0,
     fold_prunes_branches=False,
     # the 2010-era allocator pins address temporaries and does not

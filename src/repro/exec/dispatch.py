@@ -28,11 +28,13 @@ CLIs' exit codes (:mod:`repro.exec.lifecycle`):
 * no reply (EOF, or the process is gone) — the dispatcher reports
   :data:`CRASHED` unless the unit's result is already in the cache.
 
-Every reply also carries the worker's telemetry (finished spans
-parented under ``span_ctx``, a metrics snapshot), which the dispatcher
-folds into the parent.  Fault injection crosses this boundary as it
-does the in-process path, plus ``postkill``: the worker fires it *after*
-the cache put, dying mid-unit with the work already durable.
+Every reply also carries its attempt's telemetry: its own registry's
+metrics snapshot and, from a worker, the finished spans parented under
+``span_ctx``.  :func:`absorb_telemetry` folds it into the run for the
+dispatcher and the engine's calling thread alike.  Fault injection
+crosses this boundary as it does the in-process path, plus
+``postkill``: the worker fires it *after* the cache put, dying mid-unit
+with the work already durable.
 """
 from __future__ import annotations
 
@@ -58,8 +60,8 @@ from .cache import ResultCache, result_to_json
 from .unit import execute, unit_from_dict
 
 __all__ = [
-    "Dispatcher", "Job", "UnitQueue", "decide", "deadline", "failure",
-    "retry_delay", "run_attempt", "spawn_worker", "worker_loop",
+    "Dispatcher", "Job", "UnitQueue", "absorb_telemetry", "decide", "deadline",
+    "failure", "retry_delay", "run_attempt", "spawn_worker", "worker_loop",
 ]
 
 #: reply codes (the 0/1/75 exit-code contract) ...
@@ -212,22 +214,40 @@ def run_attempt(
 
     Success puts the payload durably in ``cache`` first: the fsynced
     atomic put is what lets a ``done`` record (or a redispatch) trust it.
+    The attempt's metrics go to a registry of its own, returned in
+    ``reply["telemetry"]`` wherever it runs.
     """
-    try:
-        with tspans.span(
-            "unit.attempt", "unit", label=unit.label(), attempt=attempt
-        ) as anchor:
-            with deadline(timeout):
-                payload = result_to_json(
-                    execute(unit, attempt=attempt, faults=faults)
-                )
-            _virtual_launch_spans(payload, anchor)
-        if cache is not None:
-            cache.put(digest, payload)
-    except Exception as e:
-        code, err = failure(e, unit.label(), faults)
-        return code, {"err": err}
-    return EXIT_OK, {"ok": payload}
+    with metrics.use_registry() as reg:
+        try:
+            with tspans.span(
+                "unit.attempt", "unit", label=unit.label(), attempt=attempt
+            ) as anchor:
+                with deadline(timeout):
+                    payload = result_to_json(
+                        execute(unit, attempt=attempt, faults=faults)
+                    )
+                _virtual_launch_spans(payload, anchor)
+            if cache is not None:
+                cache.put(digest, payload)
+            code, reply = EXIT_OK, {"ok": payload}
+        except Exception as e:
+            code, err = failure(e, unit.label(), faults)
+            reply = {"err": err}
+        reply["telemetry"] = {"metrics": reg.snapshot()}
+    return code, reply
+
+
+def absorb_telemetry(reply: dict) -> None:
+    """Fold an attempt's telemetry, popped off ``reply``, into the run.
+
+    Only a worker's reply carries spans: the calling thread's went
+    straight to the live tracer.
+    """
+    tele = reply.pop("telemetry")
+    tr = tspans.tracer()
+    if tr is not None and tele.get("spans"):
+        tr.absorb(tele["spans"])
+    metrics.registry().merge_snapshot(tele["metrics"])
 
 
 # -- the worker ------------------------------------------------------------
@@ -244,14 +264,11 @@ def _serve(
     unit = unit_from_dict(unit_dict)
     injector = faults_mod.from_spec(faults_spec)
     tr = tspans.worker_tracer(span_ctx)
-    with metrics.use_registry() as reg, tspans.use_tracer(tr):
+    with tspans.use_tracer(tr):
         code, reply = run_attempt(unit, digest, attempt, injector, timeout, cache)
-        if tr is not None:
-            tr.finish()
-        reply["telemetry"] = {
-            "spans": tr.export_events() if tr is not None else [],
-            "metrics": reg.snapshot(),
-        }
+    if tr is not None:
+        tr.finish()
+        reply["telemetry"]["spans"] = tr.export_events()
     if code == EXIT_OK and injector is not None:
         injector.fire_post(unit.label(), attempt)
     return code, reply
@@ -604,10 +621,5 @@ class Dispatcher:
                 job, FailureKind.CRASH, f"worker died (exitcode {p.exitcode})",
                 "kill", "postkill",
             )
-        tele = reply.pop("telemetry", None) or {}
-        tr = tspans.tracer()
-        if tr is not None and tele.get("spans"):
-            tr.absorb(tele["spans"])
-        if tele.get("metrics"):
-            metrics.registry().merge_snapshot(tele["metrics"])
+        absorb_telemetry(reply)
         return code, reply

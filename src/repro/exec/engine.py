@@ -67,7 +67,9 @@ from ..telemetry import log, metrics
 from ..telemetry import spans as tspans
 from ..telemetry.progress import ProgressLine
 from .cache import ResultCache, result_from_json
-from .dispatch import UNAVAILABLE, Dispatcher, UnitQueue, run_attempt
+from .dispatch import (
+    UNAVAILABLE, Dispatcher, UnitQueue, absorb_telemetry, run_attempt,
+)
 from .unit import UnitResult, WorkUnit, unit_digest, unit_to_dict
 
 __all__ = ["SweepExecutor", "SweepStats", "UnitRecord", "FailedUnit"]
@@ -216,6 +218,9 @@ class SweepExecutor:
         if resumed is not None:
             self.stats.resumed = resumed.summary()
         self.grace = max(0.0, float(grace))
+        #: the run's registry: an in-process attempt swaps the global
+        #: one for its own while it runs, so a flush must not read that
+        self._registry = metrics.registry()
         self._drain = threading.Event()
         self._drain_deadline = float("inf")
         if self.cache is not None:
@@ -268,7 +273,9 @@ class SweepExecutor:
         if self.cache is None or self.journal is None:
             return
         try:
-            metrics.write_snapshot_file(self.cache.root, self.journal.run_id)
+            metrics.write_snapshot_file(
+                self.cache.root, self.journal.run_id, self._registry.snapshot()
+            )
         except OSError:
             pass  # a full disk must not kill the sweep it describes
 
@@ -514,7 +521,9 @@ class SweepExecutor:
             if core.error is not None:
                 raise core.error
         while (job := take()) is not None:
-            settle(job, *run_attempt(
+            code, reply = run_attempt(
                 todo[job.digest], job.digest, job.attempt, self.faults,
                 self.timeout, self.cache,
-            ))
+            )
+            absorb_telemetry(reply)
+            settle(job, code, reply)

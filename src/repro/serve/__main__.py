@@ -72,8 +72,6 @@ def _daemon_parser() -> argparse.ArgumentParser:
     ap.add_argument("--retries", type=int, default=2, metavar="N",
                     help="re-dispatch budget for transient/crashed units "
                     "(default 2)")
-    ap.add_argument("--backoff", type=float, default=0.05, metavar="SEC",
-                    help="base of the jittered exponential retry backoff")
     ap.add_argument("--quota-outstanding", type=int, default=64, metavar="N",
                     help="per-tenant max queued-or-leased units (default 64)")
     ap.add_argument("--quota-inflight", type=int, default=None, metavar="N",
@@ -88,9 +86,6 @@ def _daemon_parser() -> argparse.ArgumentParser:
                     "before going half-open")
     ap.add_argument("--grace", type=float, default=30.0, metavar="SEC",
                     help="drain grace for in-flight leases on shutdown")
-    ap.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault-injection plan (JSON or compact spec; "
-                    "default: $REPRO_FAULTS)")
     return ap
 
 
@@ -110,7 +105,6 @@ def _run_daemon(argv) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        backoff=args.backoff,
         quota=TenantQuota(
             max_outstanding=args.quota_outstanding,
             max_inflight=(
@@ -121,7 +115,6 @@ def _run_daemon(argv) -> int:
         queue_bound=args.queue_bound,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        faults=args.faults,
     )
     daemon.start()
     api = ServeAPI(daemon, host=args.host, port=args.port).start()

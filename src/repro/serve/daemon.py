@@ -438,7 +438,9 @@ class SweepDaemon:
         if self._core.error is not None:
             self.drain()  # nothing dispatches any more: stop admitting
         try:
-            metrics.write_snapshot_file(self.cache_dir, "serve")
+            metrics.write_snapshot_file(
+                self.cache_dir, "serve", metrics.registry().snapshot()
+            )
         except OSError:
             pass  # a full disk must not kill the daemon it describes
 

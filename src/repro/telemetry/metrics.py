@@ -5,32 +5,34 @@ simulator) reports into one :class:`MetricsRegistry` so a run's
 behaviour — cache hit ratio, retry counts, per-FailureKind totals,
 launch-overhead distributions — is observable without grepping logs.
 
-Two properties matter more than feature count:
+The contract:
 
-* **Deterministic merge.**  Histograms use *fixed* bucket boundaries
-  chosen at creation, so merging the registries of N pool workers adds
-  bucket counts element-wise — the result is independent of merge
-  order and of how units were scheduled.  Counters add; gauges merge
-  by max (the only order-free choice that still answers "how high did
-  it get?").  ``merge(a, merge(b, c)) == merge(merge(a, b), c)`` by
-  construction, which the hypothesis suite asserts.
-* **Cheap when idle.**  A counter bump is a dict lookup and a float
-  add; nothing allocates on the hot path after the first observation.
-
-Worker processes carry their own registry (module-global state does
-not cross ``fork``/``spawn`` usefully under the engine's ok/err payload
-protocol); the engine ships each worker's :meth:`~MetricsRegistry
-.snapshot` home in the payload and folds it into the parent with
-:meth:`~MetricsRegistry.merge_snapshot`.
+* **Exact sums.**  Counter totals and histogram sums add as integers
+  (every finite double is a whole number of 2**-1074) and read as the
+  correctly rounded float, so a total never depends on the order or
+  grouping of its additions.  Non-finite increments keep their IEEE
+  meaning.  A bump is a dict lookup, an uncontended lock and one
+  integer add: every update holds its registry's lock.
+* **One hand-off per attempt.**  Each unit attempt
+  (:func:`repro.exec.dispatch.run_attempt`) runs under a registry of
+  its own, on a pool worker and on the calling thread alike, and hands
+  its snapshot (each sum rounded once) to the run's
+  :meth:`~MetricsRegistry.merge_snapshot`.  A merge holds the
+  registry's lock, as a snapshot does; it adds sums exactly and bucket
+  counts element-wise (a histogram's fixed boundaries are part of its
+  identity) and keeps gauges' high-water marks.  So a run's totals are
+  the same bits at any ``--jobs``, grouping and settle order.
 """
 from __future__ import annotations
 
 import contextlib
 import json
+import math
+import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import durable
 
@@ -48,7 +50,6 @@ __all__ = [
     "gauge",
     "histogram",
     "SNAPSHOT_SCHEMA",
-    "metrics_dir",
     "snapshot_path",
     "write_snapshot_file",
     "load_snapshot_file",
@@ -75,17 +76,49 @@ FSYNC_BUCKETS_S = (
 )
 
 
+#: every finite double is a whole number of 2**-_EXACT_SHIFT
+_EXACT_SHIFT = 1074
+
+
+class _ExactSum:
+    """Floats summed exactly (as integer 2**-1074 units), read rounded once."""
+
+    __slots__ = ("units", "nonfinite")
+
+    def __init__(self) -> None:
+        self.units, self.nonfinite = 0, 0.0  # the IEEE sum of inf/nan adds
+
+    def add(self, v: float) -> None:
+        v = float(v)
+        if math.isfinite(v):
+            n, d = v.as_integer_ratio()
+            self.units += n << (_EXACT_SHIFT + 1 - d.bit_length())
+        else:
+            self.nonfinite += v
+
+    def __float__(self) -> float:
+        # an inf or nan increment absorbs any finite total
+        return self.nonfinite or self.units / (1 << _EXACT_SHIFT)
+
+
 class Counter:
     """A monotonically increasing total (float; byte counts welcome)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "lock", "total")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock=None):
         self.name = name
-        self.value = 0.0
+        #: guards every update (a registry lends its own re-entrant lock)
+        self.lock = lock or threading.RLock()
+        self.total = _ExactSum()
 
     def inc(self, n: float = 1.0) -> None:
-        self.value += n
+        with self.lock:
+            self.total.add(n)
+
+    @property
+    def value(self) -> float:
+        return float(self.total)
 
     def as_dict(self) -> dict:
         return {"type": "counter", "value": self.value}
@@ -99,20 +132,23 @@ class Gauge:
     processes are not meaningfully combinable).
     """
 
-    __slots__ = ("name", "value", "max")
+    __slots__ = ("name", "lock", "value", "max")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock=None):
         self.name = name
+        self.lock = lock or threading.RLock()
         self.value = 0.0
         self.max = 0.0
 
     def set(self, v: float) -> None:
-        self.value = float(v)
-        if v > self.max:
-            self.max = float(v)
+        with self.lock:
+            self.value = float(v)
+            if v > self.max:
+                self.max = float(v)
 
     def add(self, delta: float) -> None:
-        self.set(self.value + delta)
+        with self.lock:
+            self.set(self.value + delta)
 
     def as_dict(self) -> dict:
         return {"type": "gauge", "value": self.value, "max": self.max}
@@ -128,16 +164,21 @@ class Histogram:
     re-bucketing.
     """
 
-    __slots__ = ("name", "boundaries", "counts", "count", "sum", "min", "max")
+    __slots__ = (
+        "name", "lock", "boundaries", "counts", "count", "total", "min", "max",
+    )
 
-    def __init__(self, name: str, boundaries: Sequence[float] = TIME_BUCKETS_S):
+    def __init__(
+        self, name: str, boundaries: Sequence[float] = TIME_BUCKETS_S, lock=None,
+    ):
         if list(boundaries) != sorted(boundaries):
             raise ValueError(f"histogram {name!r}: boundaries must be sorted")
         self.name = name
+        self.lock = lock or threading.RLock()
         self.boundaries = tuple(float(b) for b in boundaries)
         self.counts = [0] * (len(self.boundaries) + 1)
         self.count = 0
-        self.sum = 0.0
+        self.total = _ExactSum()
         self.min = float("inf")
         self.max = float("-inf")
 
@@ -150,13 +191,18 @@ class Histogram:
                 lo = mid + 1
             else:
                 hi = mid
-        self.counts[lo] += 1
-        self.count += 1
-        self.sum += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
+        with self.lock:
+            self.counts[lo] += 1
+            self.count += 1
+            self.total.add(v)
+            if v < self.min:
+                self.min = v
+            if v > self.max:
+                self.max = v
+
+    @property
+    def sum(self) -> float:
+        return float(self.total)
 
     @property
     def mean(self) -> float:
@@ -178,7 +224,9 @@ class MetricsRegistry:
     """Name -> instrument table with get-or-create accessors."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        #: guards the table and, lent to each instrument, every update;
+        #: re-entrant, since a merge holds it while it updates
+        self._lock = threading.RLock()
         self._metrics: dict = {}
 
     # -- accessors --------------------------------------------------------
@@ -188,7 +236,7 @@ class MetricsRegistry:
             with self._lock:
                 m = self._metrics.get(name)
                 if m is None:
-                    m = self._metrics[name] = factory(name)
+                    m = self._metrics[name] = factory(name, self._lock)
         return m
 
     def counter(self, name: str) -> Counter:
@@ -200,7 +248,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, boundaries: Sequence[float] = TIME_BUCKETS_S
     ) -> Histogram:
-        h = self._get(name, lambda n: Histogram(n, boundaries))
+        h = self._get(name, lambda n, lock: Histogram(n, boundaries, lock))
         if h.boundaries != tuple(float(b) for b in boundaries):
             raise ValueError(
                 f"histogram {name!r} re-declared with different boundaries"
@@ -213,53 +261,55 @@ class MetricsRegistry:
     def names(self) -> list:
         return sorted(self._metrics)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     # -- snapshot / merge --------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-friendly dump of every instrument (sorted by name)."""
-        return {name: self._metrics[name].as_dict() for name in self.names()}
+        with self._lock:
+            return {name: self._metrics[name].as_dict() for name in self.names()}
 
     def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's snapshot into this one, deterministically.
+        """Fold another registry's snapshot into this one, exactly.
 
-        Counters add, gauges keep the max high-water mark, histograms
-        add bucket counts (boundaries must agree).  Metrics present only
-        in ``snap`` are created.
+        Counters and histogram sums add exactly, gauges keep the max
+        high-water mark, histograms add bucket counts (boundaries must
+        agree).  Metrics present only in ``snap`` are created.  Holds
+        the registry's lock, so no merge or bump is lost to another.
         """
-        for name in sorted(snap):
-            d = snap[name]
-            kind = d.get("type")
-            if kind == "counter":
-                self.counter(name).inc(d["value"])
-            elif kind == "gauge":
-                g = self.gauge(name)
-                g.max = max(g.max, d.get("max", d["value"]))
-                g.value = max(g.value, d["value"])
-            elif kind == "histogram":
-                h = self.histogram(name, d["boundaries"])
-                if list(h.boundaries) != list(d["boundaries"]):
-                    raise ValueError(
-                        f"histogram {name!r}: boundary mismatch on merge"
-                    )
-                h.counts = [a + b for a, b in zip(h.counts, d["counts"])]
-                h.count += d["count"]
-                h.sum += d["sum"]
-                if d["count"]:
-                    h.min = min(h.min, d["min"])
-                    h.max = max(h.max, d["max"])
-            else:  # unknown instrument type: skip rather than crash a run
-                continue
-
-    def merge(self, others: Iterable["MetricsRegistry"]) -> None:
-        for o in others:
-            self.merge_snapshot(o.snapshot())
+        with self._lock:
+            for name in sorted(snap):
+                d = snap[name]
+                kind = d.get("type")
+                if kind == "counter":
+                    self.counter(name).inc(d["value"])
+                elif kind == "gauge":
+                    g = self.gauge(name)
+                    g.max = max(g.max, d.get("max", d["value"]))
+                    g.value = max(g.value, d["value"])
+                elif kind == "histogram":
+                    h = self.histogram(name, d["boundaries"])
+                    for i, n in enumerate(d["counts"]):
+                        h.counts[i] += n
+                    h.count += d["count"]
+                    h.total.add(d["sum"])
+                    if d["count"]:
+                        h.min = min(h.min, d["min"])
+                        h.max = max(h.max, d["max"])
+                # an unknown instrument type is skipped rather than crash a run
 
 
 #: the process-wide registry every instrumented layer reports into
 _REGISTRY = MetricsRegistry()
+
+
+def _fresh_registry_in_child() -> None:
+    # another thread of the parent may hold the registry's lock across a
+    # fork, and the child would wait on it forever: a forked child (a
+    # pool worker) starts afresh, as its metrics only go home per attempt
+    global _REGISTRY
+    _REGISTRY = MetricsRegistry()
+
+
+os.register_at_fork(after_in_child=_fresh_registry_in_child)
 
 
 def registry() -> MetricsRegistry:
@@ -287,30 +337,24 @@ def use_registry(reg: Optional[MetricsRegistry] = None):
 SNAPSHOT_SCHEMA = 1
 
 
-def metrics_dir(cache_dir) -> Path:
-    """Where a sweep workdir keeps its per-run metrics snapshots."""
-    return Path(cache_dir) / "metrics"
-
-
 def snapshot_path(cache_dir, run_id: str) -> Path:
     """The snapshot file for one run under a sweep workdir."""
-    return metrics_dir(cache_dir) / f"{run_id}.json"
+    return Path(cache_dir) / "metrics" / f"{run_id}.json"
 
 
-def write_snapshot_file(
-    cache_dir, run_id: str, snapshot: Optional[dict] = None
-) -> Path:
+def write_snapshot_file(cache_dir, run_id: str, snapshot: dict) -> Path:
     """Atomically persist a registry snapshot for out-of-process readers.
 
-    The engine's heartbeat thread calls this every beat, so a scraper
-    (``repro.obs metrics``) always reads a complete, at-most-one-beat-old
-    document — never a torn write (:func:`repro.durable.atomic_write`).
+    The engine's and the daemon's heartbeats call this every beat with
+    their own registry's snapshot, so a scraper (``repro.obs metrics``)
+    always reads a complete, at-most-one-beat-old document — never a
+    torn write (:func:`repro.durable.atomic_write`).
     """
     doc = {
         "schema": SNAPSHOT_SCHEMA,
         "run_id": run_id,
         "unix": time.time(),
-        "metrics": snapshot if snapshot is not None else _REGISTRY.snapshot(),
+        "metrics": snapshot,
     }
     text = json.dumps(doc, indent=1, sort_keys=True)
     return durable.atomic_write(snapshot_path(cache_dir, run_id), text)

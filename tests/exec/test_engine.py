@@ -11,6 +11,7 @@ import pytest
 from repro import exec as rexec
 from repro.arch.specs import GTX280, GTX480
 from repro.exec import dispatch as dispatch_mod
+from repro.telemetry import metrics
 
 
 def canon(ur, wall=True):
@@ -72,13 +73,76 @@ def test_cached_result_byte_identical_to_fresh(tmp_path):
 def test_prewarm_parallel_matches_sequential(tmp_path):
     seq = rexec.SweepExecutor(jobs=1)
     par = rexec.SweepExecutor(jobs=4)
-    seq.prewarm(UNITS)
-    par.prewarm(UNITS)
+    with metrics.use_registry() as seq_reg:
+        seq.prewarm(UNITS)
+    with metrics.use_registry() as par_reg:
+        par.prewarm(UNITS)
     assert par.stats.misses == len(UNITS)
     for u in UNITS:
         assert canon(seq.run_unit(u), wall=False) == canon(
             par.run_unit(u), wall=False
         )
+    # every attempt hands its metrics over the same way, and merges are
+    # exact: the simulated sums agree bit for bit whatever ran them
+    simulated = [
+        "sim.launches", "sim.kernel_s", "sim.dram_bytes",
+        "sim.warp_instructions", "runtime.cuda.launch_overhead_s",
+        "runtime.opencl.launch_overhead_s",
+    ]
+    seq_snap, par_snap = seq_reg.snapshot(), par_reg.snapshot()
+    assert [seq_snap[n] for n in simulated] == [par_snap[n] for n in simulated]
+
+
+def test_run_attempt_hands_over_its_metrics_on_either_path():
+    # the calling thread and a worker return an attempt's metrics alike,
+    # and neither adds to the live registry behind the hand-off
+    from repro.exec.unit import unit_to_dict
+
+    d = rexec.unit_digest(UNIT)
+    with metrics.use_registry() as live:
+        code, here = dispatch_mod.run_attempt(UNIT, d, 1, None, None, None)
+        wcode, there = dispatch_mod._serve(None, unit_to_dict(UNIT), d, 1)
+        assert live.snapshot() == {}
+    assert code == wcode == 0
+    a, b = here["telemetry"]["metrics"], there["telemetry"]["metrics"]
+    assert a["sim.launches"]["value"] > 0
+    simulated = ["sim.launches", "sim.kernel_s", "runtime.cuda.launch_overhead_s"]
+    assert [a[n] for n in simulated] == [b[n] for n in simulated]
+    with metrics.use_registry() as live:
+        dispatch_mod.absorb_telemetry(here)
+        assert "telemetry" not in here
+        assert live.snapshot()["sim.launches"] == a["sim.launches"]
+
+
+def test_flush_during_an_in_process_attempt_writes_the_runs_metrics(
+    monkeypatch, tmp_path,
+):
+    # an attempt on the calling thread runs under its own registry; a
+    # heartbeat flush meanwhile must still write the run's, which holds
+    # the units already settled
+    from repro.exec.journal import RunJournal
+
+    first, second = UNITS[:2]
+    flushed = []
+    real = dispatch_mod.execute
+
+    def execute(unit, **kw):
+        if unit == second:
+            ex._flush_metrics()
+            flushed.append(metrics.load_snapshot_file(
+                metrics.snapshot_path(tmp_path, j.run_id)
+            )["metrics"])
+        return real(unit, **kw)
+
+    monkeypatch.setattr(dispatch_mod, "execute", execute)
+    j = RunJournal.create(tmp_path, "flush")
+    with metrics.use_registry() as run:
+        ex = rexec.SweepExecutor(jobs=1, cache=tmp_path, journal=j, progress="off")
+        assert ex.prewarm([first, second]) == 2
+        j.close("complete")
+    [snap] = flushed
+    launches = snap["sim.launches"]["value"]
+    assert 0 < launches < run.counter("sim.launches").value
 
 
 def test_no_worker_outlives_prewarm(tmp_path):

@@ -1,4 +1,11 @@
-"""Metrics registry: instruments + the deterministic-merge property."""
+"""Metrics registry: instruments, exact sums and the deterministic merge."""
+import itertools
+import json
+import math
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +49,37 @@ class TestInstruments:
         with pytest.raises(ValueError, match="re-declared"):
             reg.histogram("h", boundaries=(1.0, 3.0))
 
+    def test_counter_sums_exactly_whatever_the_order(self):
+        # float addition would read 0.0 or 2.0 here, by order
+        for order in itertools.permutations((1e16, 1.0, -1e16, 1.0)):
+            c = tm.Counter("c")
+            for v in order:
+                c.inc(v)
+            assert c.value == 2.0
+        h = tm.Histogram("h")
+        for v in (0.1, 0.2, 0.3):
+            h.observe(v)
+        assert h.sum == math.fsum((0.1, 0.2, 0.3)) == 0.6
+
+    def test_sums_cover_subnormals_and_the_largest_double(self):
+        c = tm.Counter("c")
+        c.inc(5e-324)
+        c.inc(5e-324)
+        assert c.value == 1e-323
+        c.inc(sys.float_info.max)
+        assert c.value == sys.float_info.max
+
+    def test_non_finite_increments_keep_ieee_meaning(self):
+        c = tm.Counter("c")
+        c.inc(1.0)
+        c.inc(math.inf)
+        assert c.value == math.inf
+        c.inc(-math.inf)
+        assert math.isnan(c.value)
+        h = tm.Histogram("h", boundaries=(1.0,))
+        h.observe(-math.inf)
+        assert h.sum == -math.inf and h.counts == [1, 0]
+
     def test_use_registry_scopes_globals(self):
         tm.counter("ambient").inc()
         with tm.use_registry() as reg:
@@ -77,9 +115,10 @@ def worker_observations(draw):
 @settings(max_examples=60, deadline=None)
 @given(worker_observations(), st.randoms())
 def test_merge_order_never_changes_result(workers, rnd):
-    """ISSUE satellite: merging N worker registries is order-independent —
-    bucket counts, counter totals, and gauge high-water marks all match
-    whatever permutation the scheduler delivered them in."""
+    """Merging N worker registries is order-independent —
+    bucket counts, counter totals and histogram sums (bit for bit), and
+    gauge high-water marks all match whatever permutation the scheduler
+    delivered them in."""
     snapshots = []
     for w in workers:
         reg = tm.MetricsRegistry()
@@ -96,21 +135,114 @@ def test_merge_order_never_changes_result(workers, rnd):
     rnd.shuffle(order)
     shuffled = _merge_all(snapshots, order)
 
-    # histograms: bucket counts identical, not just approximately
-    for name in ("c", "g", "h"):
-        a, b = forward.get(name), shuffled.get(name)
-        if a is None:
-            assert b is None
-            continue
-        if a["type"] == "histogram":
-            assert a["counts"] == b["counts"]
-            assert a["count"] == b["count"]
-            assert a["min"] == b["min"] and a["max"] == b["max"]
-            assert a["sum"] == pytest.approx(b["sum"], rel=1e-12, abs=1e-12)
-        elif a["type"] == "counter":
-            assert a["value"] == pytest.approx(b["value"], rel=1e-12, abs=1e-12)
-        else:
-            assert a["max"] == b["max"]
+    # every instrument is identical, float sums included
+    assert json.dumps(forward, sort_keys=True) == json.dumps(shuffled, sort_keys=True)
+    # ... and each float sum is exactly the correctly rounded sum of the
+    # snapshots' own, whatever the order
+    for name, field in (("c", "value"), ("h", "sum")):
+        if name in forward:
+            parts = [s[name][field] for s in snapshots if name in s]
+            assert forward[name][field] == shuffled[name][field] == math.fsum(parts)
+
+
+def _unit_snapshot(i: int) -> dict:
+    """One attempt's snapshot: per-launch floats like a unit reports."""
+    reg = tm.MetricsRegistry()
+    for k in range(1 + i % 4):
+        v = 1e-6 * (1.1 + 0.37 * i + 0.013 * k)
+        reg.counter("sim.launches").inc()
+        reg.counter("runtime.opencl.launch_overhead_s").inc(v)
+        reg.histogram("sim.kernel_s").observe(v / 3)
+    return reg.snapshot()
+
+
+def test_shuffled_merges_of_unit_snapshots_write_equal_bytes():
+    snapshots = [_unit_snapshot(i) for i in range(40)]
+    docs = set()
+    for seed in range(8):
+        order = list(range(len(snapshots)))
+        random.Random(seed).shuffle(order)
+        docs.add(json.dumps(_merge_all(snapshots, order), sort_keys=True))
+    assert len(docs) == 1
+
+
+def test_concurrent_merges_and_bumps_are_exact():
+    # the dispatcher's threads merge worker replies into one registry
+    # at once while other threads bump it: no bucket, count or float bit
+    # may be lost
+    snapshots = [_unit_snapshot(i) for i in range(512)]
+    reg = tm.MetricsRegistry()
+
+    def bump():
+        for _ in range(2000):
+            reg.counter("serve.requests").inc()
+            reg.histogram("sim.kernel_s").observe(0.0)
+
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda part: [reg.merge_snapshot(s) for s in part],
+                args=(snapshots[i::8],),
+            )
+            for i in range(8)
+        ] + [threading.Thread(target=bump) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(before)
+    assert reg.counter("serve.requests").value == 8000
+    want = tm.MetricsRegistry()
+    for _ in range(8000):
+        want.histogram("sim.kernel_s").observe(0.0)
+    want.merge_snapshot(_merge_all(snapshots, range(len(snapshots))))
+    assert reg.histogram("sim.kernel_s").as_dict() == want.histogram(
+        "sim.kernel_s"
+    ).as_dict()
+    h = reg.histogram("sim.kernel_s")
+    assert h.count == sum(h.counts) == 8000 + sum(
+        s["sim.kernel_s"]["count"] for s in snapshots
+    )
+    assert reg.counter("runtime.opencl.launch_overhead_s").value == math.fsum(
+        s["runtime.opencl.launch_overhead_s"]["value"] for s in snapshots
+    )
+
+
+def _bump_in_child():
+    tm.counter("child.bumps").inc()
+
+
+def test_forked_child_never_waits_on_a_lock_the_parent_held():
+    # a dispatcher thread may be merging (lock held) while another forks
+    # a worker; the worker must still be able to bump its metrics
+    import multiprocessing
+
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with tm.registry()._lock:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(60)
+        child = multiprocessing.get_context("fork").Process(target=_bump_in_child)
+        child.start()
+        child.join(60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+    finally:
+        release.set()
+        holder.join(60)
+    assert not alive and child.exitcode == 0
 
 
 def test_merge_creates_missing_metrics_and_rejects_boundary_mismatch():
